@@ -28,7 +28,7 @@ from .kmeans import KmeansConfig, run_kmeans
 from .lab import sweep
 from .metrics import cer, ecr, feature_counts
 from .sparse import SparseKmeansConfig, sparse_kmeans
-from .synth import MixtureSpec, experiment_spec, generate
+from .synth import MixtureSpec, _three_cluster_means, experiment_spec, generate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,6 +124,7 @@ def cmd_cluster(args) -> int:
     x = _load_input(args)
     if args.method == "kmeans":
         res = run_kmeans(x, np.ones(x.shape[1]), _inner_config(args, args.k))
+        bcss = bcss_per_feature(x, res.labels, args.k)
         payload = {
             "method": "kmeans",
             "s": None,
@@ -131,10 +132,10 @@ def cmd_cluster(args) -> int:
             "assignments": res.labels.tolist(),
             "weights": np.ones(x.shape[1]).tolist(),
             "selected_features": list(range(x.shape[1])),
-            "objective": float(np.sum(bcss_per_feature(x, res.labels, args.k))),
+            "objective": float(np.sum(bcss)),
             "outer_iters": 1,
             "converged": True,
-            "bcss": bcss_per_feature(x, res.labels, args.k).tolist(),
+            "bcss": bcss.tolist(),
         }
     else:
         if args.s is None:
@@ -360,9 +361,9 @@ def cmd_sweep(args) -> int:
     mu = args.mu if args.mu is not None else 0.7
     p = args.p if args.p is not None else 500
     p_star = args.p_star if args.p_star is not None else 50
-    means = np.array([[mu] * p_star, [-mu] * p_star, [0.0] * p_star])
-    base = MixtureSpec(k=3, sizes=(1, 1, 1), p=p, p_star=p_star, means=means,
-                       rho=0.0, seed=args.seed)
+    base = MixtureSpec(k=3, sizes=(1, 1, 1), p=p, p_star=p_star,
+                       means=_three_cluster_means(mu, p_star), rho=0.0,
+                       seed=args.seed)
     report = sweep(base, n_list, args.trials)
     csv_path = f"{args.out}.sweep.csv"
     json_path = f"{args.out}.sweep.json"
@@ -444,8 +445,6 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_experiment)
 
     sp = sub.add_parser("sweep", help="trial frequencies across n")
-    sp.add_argument("--theorem", choices=["T2", "T3", "T4"], default="T3",
-                    help="which trend the report is read for (same data)")
     sp.add_argument("--mu", type=float, default=None)
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--p-star", type=int, default=None)

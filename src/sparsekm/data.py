@@ -63,8 +63,28 @@ def standardize(m, *, allow_constant: bool = False) -> np.ndarray:
     return centered / scale
 
 
-def cluster_sizes(labels, k: int) -> np.ndarray:
-    return np.bincount(np.asarray(labels, dtype=int), minlength=k)
+def cluster_stats(m, labels, k: int):
+    """Per-cluster row counts and column sums of m, for labels in [0, k).
+
+    Each sum adds its cluster's rows in row order. One column goes through
+    np.bincount, because numpy sums a contiguous column pairwise instead."""
+    counts = np.bincount(labels, minlength=k)
+    if m.shape[1] == 1:
+        return counts, np.bincount(labels, weights=m[:, 0], minlength=k)[:, None]
+    sums = np.zeros((k, m.shape[1]))
+    for c in range(k):
+        sums[c] = m[labels == c].sum(axis=0)
+    return counts, sums
+
+
+def _centroids(m, labels, k: int):
+    """Validate a partition of m; return m, cluster sizes and centroids."""
+    m = np.asarray(m, dtype=float)
+    lab = check_labels(labels, k, m.shape[0])
+    counts, sums = cluster_stats(m, lab, k)
+    if (counts == 0).any():
+        raise EmptyCluster(f"cluster {int(np.flatnonzero(counts == 0)[0])} is empty")
+    return m, counts, sums / counts[:, None]
 
 
 def between_group_ss(m, labels, k: int) -> np.ndarray:
@@ -74,17 +94,8 @@ def between_group_ss(m, labels, k: int) -> np.ndarray:
     centroid form; the public bcss_per_feature doubles it to match the
     ordered-pair convention.
     """
-    m = np.asarray(m, dtype=float)
-    n, p = m.shape
-    lab = check_labels(labels, k, n)
-    counts = cluster_sizes(lab, k)
-    if (counts == 0).any():
-        raise EmptyCluster(f"cluster {int(np.flatnonzero(counts == 0)[0])} is empty")
-    sums = np.zeros((k, p))
-    np.add.at(sums, lab, m)
-    centroids = sums / counts[:, None]
-    grand = m.mean(axis=0)
-    return counts @ (centroids - grand) ** 2
+    m, counts, centroids = _centroids(m, labels, k)
+    return counts @ (centroids - m.mean(axis=0)) ** 2
 
 
 def bcss_per_feature(m, labels, k: int) -> np.ndarray:
@@ -101,15 +112,7 @@ def bcss_per_feature(m, labels, k: int) -> np.ndarray:
 
 def _within_group_ss(m, labels, k: int) -> np.ndarray:
     """Classical per-feature within-group sum of squares."""
-    m = np.asarray(m, dtype=float)
-    n, p = m.shape
-    lab = check_labels(labels, k, n)
-    counts = cluster_sizes(lab, k)
-    if (counts == 0).any():
-        raise EmptyCluster(f"cluster {int(np.flatnonzero(counts == 0)[0])} is empty")
-    sums = np.zeros((k, p))
-    np.add.at(sums, lab, m)
-    centroids = sums / counts[:, None]
+    m, counts, centroids = _centroids(m, labels, k)
     return (m**2).sum(axis=0) - counts @ centroids**2
 
 

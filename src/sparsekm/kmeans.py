@@ -13,18 +13,22 @@ n_a/(n_a-1). A relocation-stable labeling is also Lloyd-stable, so the
 returned state is still a fixed point. Lloyd alone stalls in shallow local
 minima when clusters overlap in many dimensions; the sweeps recover the
 deeper optima at small extra cost, and benchmarks enable them.
+
+lloyd_weighted and every restart of run_kmeans share one fit path,
+_fit_from: Lloyd, then the optional swap stage, then the WCSS of the final
+labels. All per-cluster counts and sums come from data.cluster_stats.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import rng_for
 from .errors import AllZeroWeights, DataError, DegenerateData, NumericalError
-from .data import as_matrix
+from .data import as_matrix, cluster_stats
 
 REFINE_MODES = ("none", "swap")
 
@@ -43,6 +47,8 @@ class KmeansConfig:
             raise DataError(f"k must be in [1, {n}], got {self.k}")
         if self.restarts < 1:
             raise DataError(f"restarts must be >= 1, got {self.restarts}")
+        if self.max_iters < 1:
+            raise DataError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.refine not in REFINE_MODES:
             raise DataError(f"refine must be one of {REFINE_MODES}")
         return self
@@ -111,17 +117,14 @@ def _assign(Y, centers):
 
 
 def _lloyd_core(Y: np.ndarray, centers: np.ndarray, max_iters: int, tol: float):
-    """Plain Lloyd on a pre-scaled matrix. Returns labels, classical WCSS,
-    iterations used, and the number of empty-cluster repairs."""
+    """Plain Lloyd on a pre-scaled matrix. Returns labels, iterations used,
+    and the number of empty-cluster repairs."""
     n, _ = Y.shape
     k = centers.shape[0]
     sq = (Y**2).sum()
     prev_labels = None
     prev_wcss = np.inf
-    labels = None
-    wcss = np.inf
     repairs = 0
-    iters = 0
     for it in range(1, max_iters + 1):
         new_labels, d = _assign(Y, centers)
         counts = np.bincount(new_labels, minlength=k)
@@ -137,8 +140,7 @@ def _lloyd_core(Y: np.ndarray, centers: np.ndarray, max_iters: int, tol: float):
         if prev_labels is not None and np.array_equal(new_labels, prev_labels):
             iters = it - 1
             break
-        sums = np.zeros((k, Y.shape[1]))
-        np.add.at(sums, new_labels, Y)
+        _, sums = cluster_stats(Y, new_labels, k)
         centers = sums / counts[:, None]
         wcss = float(sq - counts @ (centers**2).sum(axis=1))
         labels = new_labels
@@ -149,7 +151,7 @@ def _lloyd_core(Y: np.ndarray, centers: np.ndarray, max_iters: int, tol: float):
             break
         prev_labels = new_labels
         prev_wcss = wcss
-    return labels, wcss, iters, repairs
+    return labels, iters, repairs
 
 
 def _swap_refine(Y: np.ndarray, labels: np.ndarray, k: int,
@@ -162,9 +164,8 @@ def _swap_refine(Y: np.ndarray, labels: np.ndarray, k: int,
     """
     n = Y.shape[0]
     labels = labels.copy()
-    counts = np.bincount(labels, minlength=k).astype(float)
-    sums = np.zeros((k, Y.shape[1]))
-    np.add.at(sums, labels, Y)
+    counts, sums = cluster_stats(Y, labels, k)
+    counts = counts.astype(float)
     for _ in range(max_sweeps):
         moved = False
         for i in range(n):
@@ -189,17 +190,23 @@ def _swap_refine(Y: np.ndarray, labels: np.ndarray, k: int,
     return labels
 
 
-def _finish(m, Y, labels, k, iters, restart_index, repairs) -> KmeansResult:
-    counts = np.bincount(labels, minlength=k)
-    sums = np.zeros((k, m.shape[1]))
-    np.add.at(sums, labels, m)
-    centroids = sums / np.maximum(counts, 1)[:, None]
-    ysums = np.zeros((k, Y.shape[1]))
-    np.add.at(ysums, labels, Y)
-    ymu = ysums / np.maximum(counts, 1)[:, None]
-    classical = float((Y**2).sum() - counts @ (ymu**2).sum(axis=1))
-    return KmeansResult(labels=labels, centroids=centroids,
-                        wcss=2.0 * max(classical, 0.0), iters_used=iters,
+def _fit_from(Y: np.ndarray, centers: np.ndarray, cfg: KmeansConfig):
+    """One start on a pre-scaled matrix. Returns labels, their classical
+    WCSS, Lloyd iterations and repairs. No cluster is empty: Lloyd repairs
+    empty ones and swap never empties one."""
+    labels, iters, repairs = _lloyd_core(Y, centers, cfg.max_iters, cfg.tol)
+    if cfg.refine == "swap":
+        labels = _swap_refine(Y, labels, cfg.k)
+    counts, sums = cluster_stats(Y, labels, cfg.k)
+    mu = sums / counts[:, None]
+    wcss = float((Y**2).sum() - counts @ (mu**2).sum(axis=1))
+    return labels, wcss, iters, repairs
+
+
+def _finish(m, labels, wcss, k, iters, restart_index, repairs) -> KmeansResult:
+    counts, sums = cluster_stats(m, labels, k)
+    return KmeansResult(labels=labels, centroids=sums / counts[:, None],
+                        wcss=2.0 * max(wcss, 0.0), iters_used=iters,
                         restart_index=restart_index, repairs=repairs)
 
 
@@ -213,10 +220,8 @@ def lloyd_weighted(m, w, init_centroids, cfg: KmeansConfig) -> KmeansResult:
     centers = np.asarray(init_centroids, dtype=float) * root
     if centers.shape[1] != m.shape[1]:
         raise DataError("init centroids and data disagree on p")
-    labels, _, iters, repairs = _lloyd_core(Y, centers, cfg.max_iters, cfg.tol)
-    if cfg.refine == "swap":
-        labels = _swap_refine(Y, labels, cfg.k)
-    return _finish(m, Y, labels, cfg.k, iters, 0, repairs)
+    labels, wcss, iters, repairs = _fit_from(Y, centers, cfg)
+    return _finish(m, labels, wcss, cfg.k, iters, 0, repairs)
 
 
 def run_kmeans(m, w, cfg: KmeansConfig, path: tuple = ()) -> KmeansResult:
@@ -231,18 +236,9 @@ def run_kmeans(m, w, cfg: KmeansConfig, path: tuple = ()) -> KmeansResult:
     Y = m * np.sqrt(w)
     best = None
     for r in range(cfg.restarts):
-        rng = rng_for(cfg.seed, *path, r)
-        idx = _pp_indices(Y, cfg.k, rng)
-        labels, wcss, iters, repairs = _lloyd_core(Y, Y[idx], cfg.max_iters,
-                                                   cfg.tol)
-        if cfg.refine == "swap":
-            labels = _swap_refine(Y, labels, cfg.k)
-            counts = np.bincount(labels, minlength=cfg.k)
-            sums = np.zeros((cfg.k, Y.shape[1]))
-            np.add.at(sums, labels, Y)
-            mu = sums / np.maximum(counts, 1)[:, None]
-            wcss = float((Y**2).sum() - counts @ (mu**2).sum(axis=1))
+        idx = _pp_indices(Y, cfg.k, rng_for(cfg.seed, *path, r))
+        labels, wcss, iters, repairs = _fit_from(Y, Y[idx], cfg)
         if best is None or wcss < best[1]:
             best = (labels, wcss, iters, r, repairs)
-    labels, _, iters, r, repairs = best
-    return _finish(m, Y, labels, cfg.k, iters, r, repairs)
+    labels, wcss, iters, r, repairs = best
+    return _finish(m, labels, wcss, cfg.k, iters, r, repairs)

@@ -20,7 +20,7 @@ Frequencies are reported with Wilson 95% intervals over n.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -60,8 +60,7 @@ class SweepReport:
     rows: list
 
     def to_csv(self, path) -> None:
-        names = [f.strip() for f in ("n,p,p_star,trials,freq_gap,gap_lo,gap_hi,"
-                 "freq_support,support_lo,support_hi,mean_ecr").split(",")]
+        names = [f.name for f in fields(SweepRow)]
         with open(path, "w", newline="") as fh:
             fh.write(",".join(names) + "\n")
             for row in self.rows:

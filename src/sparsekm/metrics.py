@@ -34,9 +34,8 @@ def contingency(truth, est) -> np.ndarray:
     """Count matrix N[k, k'] = #{i : truth_i = k, est_i = k'}."""
     _, ti = np.unique(truth, return_inverse=True)
     _, ei = np.unique(est, return_inverse=True)
-    table = np.zeros((ti.max() + 1, ei.max() + 1), dtype=int)
-    np.add.at(table, (ti, ei), 1)
-    return table
+    rows, cols = ti.max() + 1, ei.max() + 1
+    return np.bincount(ti * cols + ei, minlength=rows * cols).reshape(rows, cols)
 
 
 def cer(estimated, truth) -> float:

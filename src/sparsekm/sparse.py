@@ -16,7 +16,7 @@ The loop stops when sum|w_new - w_old| / sum|w_old| < outer_tol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

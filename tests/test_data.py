@@ -3,8 +3,8 @@ import pytest
 
 from sparsekm._rng import rng_for
 from sparsekm.data import (as_matrix, bcss_per_feature, between_group_ss,
-                           read_csv_matrix, standardize, total_ss,
-                           weighted_wcss, write_csv_matrix)
+                           cluster_stats, read_csv_matrix, standardize,
+                           total_ss, weighted_wcss, write_csv_matrix)
 from sparsekm.errors import DataError, EmptyCluster, NonFiniteInput
 
 
@@ -150,6 +150,40 @@ class TestTotalSs:
 
     def test_identical_rows(self):
         assert total_ss(np.ones((4, 2)), [1.0, 1.0]) == 0.0
+
+
+class TestClusterStats:
+    """cluster_stats against sequential accumulation, compared exactly."""
+
+    @staticmethod
+    def reference(m, labels, k):
+        sums = np.zeros((k, m.shape[1]))
+        np.add.at(sums, labels, m)
+        return np.bincount(labels, minlength=k), sums
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("p", [1, 2, 7, 300])
+    def test_matches_add_at_exactly(self, p, order):
+        rng = rng_for(31, p)
+        # magnitudes spread over six decades so summation order shows
+        x = rng.standard_normal((257, p)) * 10.0 ** rng.uniform(-3, 3, (257, p))
+        x = np.asarray(x, order=order)
+        for k in (1, 3, 8):
+            labels = rng.integers(0, k, size=257)
+            counts, sums = cluster_stats(x, labels, k)
+            ref_counts, ref_sums = self.reference(x, labels, k)
+            assert np.array_equal(counts, ref_counts)
+            assert np.array_equal(sums, ref_sums)
+
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_empty_cluster_has_zero_sums(self, p):
+        x = rng_for(32).standard_normal((9, p))
+        labels = np.array([0, 2, 0, 2, 2, 0, 0, 2, 2])
+        counts, sums = cluster_stats(x, labels, 4)
+        assert counts.tolist() == [4, 0, 5, 0]
+        assert sums.shape == (4, p)
+        assert np.array_equal(sums[[1, 3]], np.zeros((2, p)))
+        assert np.array_equal(sums, self.reference(x, labels, 4)[1])
 
 
 class TestCsv:

@@ -155,6 +155,8 @@ def test_config_validation():
     with pytest.raises(DataError):
         run_kmeans(m, np.ones(2), KmeansConfig(k=2, refine="polish"))
     with pytest.raises(DataError):
+        run_kmeans(m, np.ones(2), KmeansConfig(k=2, max_iters=0))
+    with pytest.raises(DataError):
         run_kmeans(m, np.full(2, -1.0), KmeansConfig(k=2))
     with pytest.raises(DataError):
         run_kmeans(m, np.ones(3), KmeansConfig(k=2))

@@ -3,8 +3,8 @@ import pytest
 
 import sparsekm.metrics as metrics_mod
 from sparsekm.errors import IndexOutOfRange, LengthMismatch
-from sparsekm.metrics import (cer, confusion_proportions, ecr, feature_counts,
-                              purity)
+from sparsekm.metrics import (cer, confusion_proportions, contingency, ecr,
+                              feature_counts, purity)
 
 
 def cer_bruteforce(est, tru):
@@ -97,6 +97,21 @@ def test_confusion_marginals():
     assert pi.sum(axis=1) == pytest.approx(true_counts / 50)
     est_ids, est_counts = np.unique(est, return_counts=True)
     assert pi.sum(axis=0) == pytest.approx(est_counts / 50)
+
+
+def test_contingency_matches_double_loop():
+    rng = np.random.default_rng(44)
+    tru = rng.choice([-3, 0, 7], size=40)
+    est = rng.choice([2, 5, 9, 11, 20], size=40)
+    true_ids, est_ids = np.unique(tru), np.unique(est)
+    expected = np.zeros((true_ids.size, est_ids.size), dtype=int)
+    for r, t in enumerate(true_ids):
+        for c, e in enumerate(est_ids):
+            for ti, ei in zip(tru, est):
+                expected[r, c] += (ti == t) and (ei == e)
+    table = contingency(tru, est)
+    assert table.dtype == expected.dtype
+    assert np.array_equal(table, expected)
 
 
 # --------------------------------------------------------- feature counts
