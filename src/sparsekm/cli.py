@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: generate, cluster, tune, evaluate, experiment, sweep.
-Structured results are JSON, tabular results CSV. Every command takes
---seed and is fully deterministic given it; --threads (or the
-SPARSEKM_THREADS variable) only changes wall time, never output bytes.
+Structured results are JSON, tabular results CSV. Every command but
+evaluate takes --seed and is fully deterministic given it; tune and
+experiment take --threads (or the SPARSEKM_THREADS variable), which only
+changes wall time, never output bytes.
 Exit codes: 0 success, 1 usage, 2 data error, 3 numerical failure.
 """
 
@@ -21,13 +22,13 @@ import numpy as np
 from . import __version__
 from ._rng import spawn_seed
 from .data import bcss_per_feature, read_csv_matrix, standardize, \
-    write_csv_matrix
+    write_csv_matrix, write_csv_rows
 from .errors import DataError, SparsekmError, UsageError
 from .gap import default_grid, gap_statistic
 from .kmeans import KmeansConfig, run_kmeans
 from .lab import sweep
 from .metrics import cer, ecr, feature_counts
-from .sparse import SparseKmeansConfig, sparse_kmeans
+from .sparse import SparseKmeansConfig, SparseKmeansResult, sparse_kmeans
 from .synth import MixtureSpec, _three_cluster_means, experiment_spec, generate
 
 
@@ -122,30 +123,25 @@ def _fit_payload(result, method, s) -> dict:
 def cmd_cluster(args) -> int:
     started = time.monotonic()
     x = _load_input(args)
+    inner = _inner_config(args, args.k)
     if args.method == "kmeans":
-        res = run_kmeans(x, np.ones(x.shape[1]), _inner_config(args, args.k))
+        # plain k-means as the sparse fit that keeps every feature at weight 1
+        p = x.shape[1]
+        res = run_kmeans(x, np.ones(p), inner)
         bcss = bcss_per_feature(x, res.labels, args.k)
-        payload = {
-            "method": "kmeans",
-            "s": None,
-            "k": args.k,
-            "assignments": res.labels.tolist(),
-            "weights": np.ones(x.shape[1]).tolist(),
-            "selected_features": list(range(x.shape[1])),
-            "objective": float(np.sum(bcss)),
-            "outer_iters": 1,
-            "converged": True,
-            "bcss": bcss.tolist(),
-        }
+        s = None
+        result = SparseKmeansResult(
+            labels=res.labels, k=args.k, weights=np.ones(p),
+            objective=float(np.sum(bcss)), outer_iters=1, converged=True,
+            selected_features=np.arange(p), bcss=bcss, inner=res)
     else:
         if args.s is None:
             raise UsageError(f"--s is required for method {args.method}")
-        cfg = SparseKmeansConfig(s=args.s, method=args.method,
-                                 inner=_inner_config(args, args.k))
-        result = sparse_kmeans(x, cfg)
-        payload = _fit_payload(result, args.method, args.s)
+        s = args.s
+        result = sparse_kmeans(x, SparseKmeansConfig(s=s, method=args.method,
+                                                     inner=inner))
     out = f"{args.out}.json"
-    _write_json(out, payload)
+    _write_json(out, _fit_payload(result, args.method, s))
     _manifest(f"{args.out}.manifest.json", args, started, [out])
     return 0
 
@@ -224,10 +220,8 @@ def cmd_evaluate(args) -> int:
     json_path = f"{args.out}.metrics.json"
     csv_path = f"{args.out}.metrics.csv"
     _write_json(json_path, payload)
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("cer,ecr,nw,pzw,pnw\n")
-        fh.write(f"{payload['cer']!r},{payload['ecr']!r},"
-                 f"{counts.nw},{counts.pzw},{counts.pnw}\n")
+    write_csv_rows(csv_path, ("cer", "ecr", "nw", "pzw", "pnw"),
+                   [(payload["cer"], payload["ecr"], *counts)])
     _manifest(f"{args.out}.manifest.json", args, started,
               [json_path, csv_path])
     return 0
@@ -298,13 +292,8 @@ def run_experiment_cell(cell_id, params, reps, seed, restarts, tune_restarts,
 def _write_records_csv(path, records) -> None:
     names = sorted({name for rec in records for name in rec},
                    key=lambda s: (s not in ("cell", "rep"), s))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for rec in records:
-            fh.write(",".join("" if name not in rec else
-                              (rec[name] if isinstance(rec[name], str)
-                               else repr(rec[name]))
-                              for name in names) + "\n")
+    write_csv_rows(path, names,
+                   ([rec.get(name, "") for name in names] for rec in records))
 
 
 def cmd_experiment(args) -> int:
@@ -329,24 +318,23 @@ def cmd_experiment(args) -> int:
     for rec in all_records:
         if rec["cell"] not in cells:
             cells.append(rec["cell"])
-    with open(agg_path, "w", newline="") as fh:
-        fh.write("cell,metric,mean,sd,reps\n")
-        for cell in cells:
-            block = [rec for rec in all_records if rec["cell"] == cell]
-            for name in metric_names:
-                vals = np.array([rec[name] for rec in block if name in rec])
-                if vals.size == 0:
-                    continue
-                sd = repr(float(vals.std(ddof=1))) if vals.size > 1 else ""
-                fh.write(f"{cell},{name},{float(vals.mean())!r},{sd},{vals.size}\n")
+    agg_rows = []
+    for cell in cells:
+        block = [rec for rec in all_records if rec["cell"] == cell]
+        for name in metric_names:
+            vals = np.array([rec[name] for rec in block if name in rec])
+            if vals.size == 0:
+                continue
+            sd = float(vals.std(ddof=1)) if vals.size > 1 else ""
+            agg_rows.append((cell, name, float(vals.mean()), sd, vals.size))
+    write_csv_rows(agg_path, ("cell", "metric", "mean", "sd", "reps"),
+                   agg_rows)
     outputs.append(agg_path)
     long_path = os.path.join(args.outdir, "long.csv")
-    with open(long_path, "w", newline="") as fh:
-        fh.write("cell,rep,metric,value\n")
-        for rec in all_records:
-            for name in metric_names:
-                if name in rec:
-                    fh.write(f"{rec['cell']},{rec['rep']},{name},{rec[name]!r}\n")
+    write_csv_rows(long_path, ("cell", "rep", "metric", "value"),
+                   [(rec["cell"], rec["rep"], name, rec[name])
+                    for rec in all_records
+                    for name in metric_names if name in rec])
     outputs.append(long_path)
     _manifest(os.path.join(args.outdir, "manifest.json"), args, started,
               outputs)
@@ -380,10 +368,17 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True):
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=None)
+    def fit_inputs(sp, methods):
+        """The input, fit and output flags that cluster and tune share."""
+        sp.add_argument("--input", required=True)
+        sp.add_argument("--method", required=True, choices=methods)
+        sp.add_argument("--k", type=int, required=True)
+        sp.add_argument("--restarts", type=int, default=10)
+        sp.add_argument("--refine", choices=["none", "swap"], default="none")
+        sp.add_argument("--header", action="store_true")
+        sp.add_argument("--no-standardize", action="store_true")
+        sp.add_argument("--out", required=True)
+        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("generate", help="draw a synthetic benchmark dataset")
     sp.add_argument("--experiment", required=True,
@@ -392,45 +387,29 @@ def build_parser() -> _Parser:
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--rho", type=float, default=None)
     sp.add_argument("--out", required=True)
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_generate)
 
     sp = sub.add_parser("cluster", help="fit kmeans, l0, or l1 on a CSV")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--method", required=True, choices=["kmeans", "l0", "l1"])
-    sp.add_argument("--k", type=int, required=True)
+    fit_inputs(sp, ["kmeans", "l0", "l1"])
     sp.add_argument("--s", type=float, default=None)
-    sp.add_argument("--restarts", type=int, default=10)
-    sp.add_argument("--refine", choices=["none", "swap"], default="none")
-    sp.add_argument("--header", action="store_true")
-    sp.add_argument("--no-standardize", action="store_true")
-    sp.add_argument("--out", required=True)
-    common(sp)
     sp.set_defaults(func=cmd_cluster)
 
     sp = sub.add_parser("tune", help="choose s by the gap statistic")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--method", required=True, choices=["l0", "l1"])
-    sp.add_argument("--k", type=int, required=True)
+    fit_inputs(sp, ["l0", "l1"])
     sp.add_argument("--grid", default=None,
                     help="comma-separated s values (default: built-in grid)")
     sp.add_argument("--permutations", type=int, default=10)
     sp.add_argument("--one-se", action="store_true")
-    sp.add_argument("--restarts", type=int, default=10)
-    sp.add_argument("--refine", choices=["none", "swap"], default="none")
-    sp.add_argument("--header", action="store_true")
-    sp.add_argument("--no-standardize", action="store_true")
     sp.add_argument("--fit", action="store_true",
                     help="also fit at the chosen s")
-    sp.add_argument("--out", required=True)
-    common(sp)
+    sp.add_argument("--threads", type=int, default=None)
     sp.set_defaults(func=cmd_tune)
 
     sp = sub.add_parser("evaluate", help="score a result against its truth")
     sp.add_argument("--result", required=True)
     sp.add_argument("--truth", required=True)
     sp.add_argument("--out", required=True)
-    common(sp, seed=False)
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("experiment",
@@ -441,7 +420,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--tune-restarts", type=int, default=5)
     sp.add_argument("--permutations", type=int, default=10)
     sp.add_argument("--outdir", required=True)
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--threads", type=int, default=None)
     sp.set_defaults(func=cmd_experiment)
 
     sp = sub.add_parser("sweep", help="trial frequencies across n")
@@ -451,7 +431,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n-list", default="30,60,120")
     sp.add_argument("--trials", type=int, default=50)
     sp.add_argument("--out", required=True)
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_sweep)
     return parser
 

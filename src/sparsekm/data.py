@@ -23,11 +23,16 @@ from .errors import DataError, EmptyCluster, LengthMismatch, NonFiniteInput
 NONZERO_TOL = 1e-12  # shared definition of "this weight is nonzero"
 
 
-def as_matrix(values, *, name: str = "data") -> np.ndarray:
-    """Validate and return an n x p float matrix (finite, n >= 2, p >= 1)."""
+def _as_2d(values, name: str = "data") -> np.ndarray:
     m = np.asarray(values, dtype=float)
     if m.ndim != 2:
         raise DataError(f"{name} must be 2-dimensional, got shape {m.shape}")
+    return m
+
+
+def as_matrix(values, *, name: str = "data") -> np.ndarray:
+    """Validate and return an n x p float matrix (finite, n >= 2, p >= 1)."""
+    m = _as_2d(values, name)
     n, p = m.shape
     if n < 2 or p < 1:
         raise DataError(f"{name} needs n >= 2 and p >= 1, got {n} x {p}")
@@ -79,7 +84,7 @@ def cluster_stats(m, labels, k: int):
 
 def _centroids(m, labels, k: int):
     """Validate a partition of m; return m, cluster sizes and centroids."""
-    m = np.asarray(m, dtype=float)
+    m = _as_2d(m)
     lab = check_labels(labels, k, m.shape[0])
     counts, sums = cluster_stats(m, lab, k)
     if (counts == 0).any():
@@ -128,7 +133,7 @@ def weighted_wcss(m, labels, w, k: int) -> float:
 
 def total_ss(m, w) -> float:
     """Weighted total dispersion (1/n) sum_{i,i'} sum_j w_j d_{ii'j}."""
-    m = np.asarray(m, dtype=float)
+    m = _as_2d(m)
     w = np.asarray(w, dtype=float)
     centered = m - m.mean(axis=0)
     return float(2.0 * (w @ (centered**2).sum(axis=0)))
@@ -167,3 +172,16 @@ def write_csv_matrix(path, m) -> None:
         writer = csv.writer(fh)
         for row in m:
             writer.writerow([repr(float(v)) for v in row])
+
+
+def write_csv_rows(path, header, rows) -> None:
+    """Write a table as a header line and one line per row, "\n" ended.
+
+    String cells are written as they are, every other cell as repr(v);
+    callers pass Python scalars so floats print in shortest round-trip form.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else repr(v)
+                              for v in row) + "\n")

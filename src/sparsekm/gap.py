@@ -24,7 +24,7 @@ import numpy as np
 
 from ._rng import rng_for, spawn_seed
 from .errors import NonPositiveObjective, NumericalError, UsageError
-from .data import as_matrix
+from .data import as_matrix, write_csv_rows
 from .kmeans import KmeansConfig
 from .sparse import SparseKmeansConfig, sparse_kmeans
 
@@ -40,10 +40,9 @@ class GapProfile:
     chosen_s: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("s,objective,gap,se\n")
-            for row in zip(self.grid, self.objective, self.gap, self.se):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_csv_rows(path, ("s", "objective", "gap", "se"),
+                       zip(self.grid.tolist(), self.objective.tolist(),
+                           self.gap.tolist(), self.se.tolist()))
 
 
 def permute_columns(m, seed: int) -> np.ndarray:

@@ -31,6 +31,8 @@ from .errors import AllZeroWeights, DataError, DegenerateData, NumericalError
 from .data import as_matrix, cluster_stats
 
 REFINE_MODES = ("none", "swap")
+LLOYD_TOL = 1e-8      # stop Lloyd once WCSS falls by less than this fraction
+MAX_SWAP_SWEEPS = 100
 
 
 @dataclass
@@ -38,7 +40,6 @@ class KmeansConfig:
     k: int
     restarts: int = 10
     max_iters: int = 100
-    tol: float = 1e-8
     seed: int = 0
     refine: str = "none"
 
@@ -116,7 +117,7 @@ def _assign(Y, centers):
     return np.argmin(d, axis=1), d
 
 
-def _lloyd_core(Y: np.ndarray, centers: np.ndarray, max_iters: int, tol: float):
+def _lloyd_core(Y: np.ndarray, centers: np.ndarray, max_iters: int):
     """Plain Lloyd on a pre-scaled matrix. Returns labels, iterations used,
     and the number of empty-cluster repairs."""
     n, _ = Y.shape
@@ -147,15 +148,14 @@ def _lloyd_core(Y: np.ndarray, centers: np.ndarray, max_iters: int, tol: float):
         iters = it
         if wcss > prev_wcss + 1e-7 * (1.0 + abs(prev_wcss)):
             raise NumericalError("WCSS increased across a Lloyd iteration")
-        if prev_wcss - wcss < tol * max(1.0, abs(prev_wcss)):
+        if prev_wcss - wcss < LLOYD_TOL * max(1.0, abs(prev_wcss)):
             break
         prev_labels = new_labels
         prev_wcss = wcss
     return labels, iters, repairs
 
 
-def _swap_refine(Y: np.ndarray, labels: np.ndarray, k: int,
-                 max_sweeps: int = 100):
+def _swap_refine(Y: np.ndarray, labels: np.ndarray, k: int):
     """First-improvement single-point relocation until no move lowers WCSS.
 
     The move criterion uses the exact WCSS change: removing point i from
@@ -166,7 +166,7 @@ def _swap_refine(Y: np.ndarray, labels: np.ndarray, k: int,
     labels = labels.copy()
     counts, sums = cluster_stats(Y, labels, k)
     counts = counts.astype(float)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWAP_SWEEPS):
         moved = False
         for i in range(n):
             a = labels[i]
@@ -194,7 +194,7 @@ def _fit_from(Y: np.ndarray, centers: np.ndarray, cfg: KmeansConfig):
     """One start on a pre-scaled matrix. Returns labels, their classical
     WCSS, Lloyd iterations and repairs. No cluster is empty: Lloyd repairs
     empty ones and swap never empties one."""
-    labels, iters, repairs = _lloyd_core(Y, centers, cfg.max_iters, cfg.tol)
+    labels, iters, repairs = _lloyd_core(Y, centers, cfg.max_iters)
     if cfg.refine == "swap":
         labels = _swap_refine(Y, labels, cfg.k)
     counts, sums = cluster_stats(Y, labels, cfg.k)

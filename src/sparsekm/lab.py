@@ -20,11 +20,12 @@ Frequencies are reported with Wilson 95% intervals over n.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
 from ._rng import spawn_seed
+from .data import write_csv_rows
 from .errors import InvalidSpec, NumericalError, UsageError
 from .kmeans import KmeansConfig
 from .metrics import ecr
@@ -60,12 +61,8 @@ class SweepReport:
     rows: list
 
     def to_csv(self, path) -> None:
-        names = [f.name for f in fields(SweepRow)]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(names) + "\n")
-            for row in self.rows:
-                d = asdict(row)
-                fh.write(",".join(repr(d[name]) for name in names) + "\n")
+        write_csv_rows(path, [f.name for f in fields(SweepRow)],
+                       map(astuple, self.rows))
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -129,13 +126,10 @@ def sweep(base_spec: MixtureSpec, n_list, trials: int,
         for ti in range(trials):
             trial_seed = spawn_seed(base_spec.seed, si, ti)
             spec = replace(scaled, seed=trial_seed)
-            cfg = SparseKmeansConfig(
-                s=float(spec.p_star), method="l0",
-                inner=inner if inner is not None
-                else _default_inner(spec.k, trial_seed))
-            if inner is not None:
-                cfg = replace(cfg, inner=replace(inner, seed=trial_seed))
-            out = run_trial(spec, cfg)
+            trial_inner = replace(inner, seed=trial_seed) if inner is not None \
+                else _default_inner(spec.k, trial_seed)
+            out = run_trial(spec, SparseKmeansConfig(
+                s=float(spec.p_star), method="l0", inner=trial_inner))
             hits_gap += out.gap_event
             hits_support += out.exact_support
             ecr_sum += out.ecr

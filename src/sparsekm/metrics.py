@@ -9,8 +9,6 @@ import numpy as np
 from .data import NONZERO_TOL
 from .errors import IndexOutOfRange, LengthMismatch
 
-_PAIRWISE_LIMIT = 5000
-
 
 def _as_labels(x, name):
     lab = np.asarray(x)
@@ -42,17 +40,12 @@ def cer(estimated, truth) -> float:
     """Fraction of sample pairs whose co-membership the two partitions
     disagree on.
 
-    Pair enumeration up to n = 5000; above that an equivalent contingency
-    identity (disagreements = est-pairs + truth-pairs - 2 * joint-pairs)
-    avoids the n^2 bitmap.
+    Counted from the contingency table without enumerating pairs:
+    disagreements = est-pairs + truth-pairs - 2 * joint-pairs, an integer
+    that float64 holds exactly while n**2 < 2**53.
     """
     est, tru = _check_pair(estimated, truth)
     n = est.shape[0]
-    if n <= _PAIRWISE_LIMIT:
-        same_e = est[:, None] == est[None, :]
-        same_t = tru[:, None] == tru[None, :]
-        iu = np.triu_indices(n, k=1)
-        return float(np.mean(same_e[iu] != same_t[iu]))
     table = contingency(tru, est)
 
     def pairs(counts):

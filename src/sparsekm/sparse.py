@@ -11,7 +11,7 @@ For the l0 method the feasible set is {w : 0 <= w_j <= 1, ||w||_0 <= s}
 and the maximizer is the indicator of the top-floor(s) entries of a. For
 the l1 method it is {w : ||w||_2 <= 1, ||w||_1 <= s, w >= 0} and the
 maximizer is a normalized soft threshold with the cut chosen by bisection.
-The loop stops when sum|w_new - w_old| / sum|w_old| < outer_tol.
+The loop stops when sum|w_new - w_old| / sum|w_old| < OUTER_TOL.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import (AllNonPositiveBcss, DataError, NumericalError,
 from .kmeans import KmeansConfig, KmeansResult, run_kmeans
 
 METHODS = ("l0", "l1")
+OUTER_TOL = 1e-4
 
 
 @dataclass
@@ -34,7 +35,6 @@ class SparseKmeansConfig:
     method: str
     inner: KmeansConfig
     max_outer_iters: int = 20
-    outer_tol: float = 1e-4
 
     def validated(self, n: int, p: int) -> "SparseKmeansConfig":
         if self.method not in METHODS:
@@ -151,7 +151,7 @@ def _alternate(m, cfg: SparseKmeansConfig, path: tuple) -> SparseKmeansResult:
         delta = np.abs(w_new - w).sum() / np.abs(w).sum()
         w = w_new
         feasible = True
-        if delta < cfg.outer_tol:
+        if delta < OUTER_TOL:
             converged = True
             break
     selected = np.flatnonzero(w > NONZERO_TOL)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from sparsekm.cli import main
+from sparsekm.cli import _write_records_csv, build_parser, main
 from sparsekm.data import write_csv_matrix
 from sparsekm.errors import (DataError, DegenerateData, NumericalError,
                              SparsekmError, UsageError)
@@ -320,6 +320,17 @@ def test_experiment_e3_small(tmp_path):
     assert len(long_rows) > 10
 
 
+def test_records_csv_bytes(tmp_path):
+    path = tmp_path / "r.csv"
+    _write_records_csv(path, [
+        {"s_l0": 3.0, "cer_l0": 0.25, "rep": 0, "cell": "E3a"},
+        {"cell": "E3b", "rep": 1, "cer_l0": float("nan")},
+    ])
+    assert path.read_bytes() == (b"cell,rep,cer_l0,s_l0\n"
+                                 b"E3a,0,0.25,3.0\n"
+                                 b"E3b,1,nan,\n")
+
+
 # ------------------------------------------------------------- interface
 
 def test_cli_entry_point_smoke():
@@ -330,6 +341,29 @@ def test_cli_entry_point_smoke():
     proc = subprocess.run([sys.executable, "-m", "sparsekm.cli"],
                           capture_output=True, text=True)
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--experiment", "E3a"],
+    ["cluster", "--input", "x.csv", "--method", "kmeans", "--k", "3"],
+    ["evaluate", "--result", "r.json", "--truth", "t.json"],
+    ["sweep", "--p", "30", "--p-star", "5", "--n-list", "12"],
+], ids=lambda argv: argv[0])
+def test_threads_rejected_where_unused(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o"), "--threads", "1"]) == 1
+    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["tune", "experiment"])
+def test_threads_and_env_accepted_where_read(tmp_path, monkeypatch, command):
+    if command == "tune":
+        argv = ["tune", "--input", str(make_noise_csv(tmp_path)),
+                "--method", "l0", "--k", "3", "--out", str(tmp_path / "t")]
+    else:
+        argv = ["experiment", "--id", "E3", "--outdir", str(tmp_path / "e")]
+    assert build_parser().parse_args(argv + ["--threads", "2"]).threads == 2
+    monkeypatch.setenv("SPARSEKM_THREADS", "lots")
+    assert main(argv) == 1
 
 
 def test_no_command_is_usage_error(capsys):

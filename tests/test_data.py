@@ -4,7 +4,8 @@ import pytest
 from sparsekm._rng import rng_for
 from sparsekm.data import (as_matrix, bcss_per_feature, between_group_ss,
                            cluster_stats, read_csv_matrix, standardize,
-                           total_ss, weighted_wcss, write_csv_matrix)
+                           total_ss, weighted_wcss, write_csv_matrix,
+                           write_csv_rows)
 from sparsekm.errors import DataError, EmptyCluster, NonFiniteInput
 
 
@@ -211,9 +212,29 @@ class TestCsv:
         with pytest.raises(DataError, match="r.csv:2"):
             read_csv_matrix(path)
 
+    def test_rows_literal_bytes(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv_rows(path, ["name", "note", "count", "value", "missing"],
+                       [("a", "", 3, 0.1, float("nan")),
+                        ("b", "x", -12, 1e-20, 2.0)])
+        assert path.read_bytes() == (b"name,note,count,value,missing\n"
+                                     b"a,,3,0.1,nan\n"
+                                     b"b,x,-12,1e-20,2.0\n")
+
 
 def test_as_matrix_shape_checks():
     with pytest.raises(DataError):
         as_matrix(np.ones(3))
     with pytest.raises(DataError):
         as_matrix(np.ones((1, 3)))
+
+
+@pytest.mark.parametrize("fn, args", [
+    (bcss_per_feature, ([0, 1, 0, 1], 2)),
+    (between_group_ss, ([0, 1, 0, 1], 2)),
+    (weighted_wcss, ([0, 1, 0, 1], [1.0], 2)),
+    (total_ss, (np.ones(1),)),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_ss_helpers_reject_non_2d(fn, args):
+    with pytest.raises(DataError, match=r"2-dimensional, got shape \(4,\)"):
+        fn(np.ones(4), *args)

@@ -221,6 +221,9 @@ def test_profile_csv(tmp_path):
                       chosen_s=2.0)
     path = tmp_path / "prof.csv"
     prof.to_csv(path)
+    assert path.read_bytes() == (b"s,objective,gap,se\n"
+                                 b"2.0,4.0,0.1,0.05\n"
+                                 b"3.0,5.0,nan,0.06\n")
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "s,objective,gap,se"
     assert len(lines) == 3

@@ -6,8 +6,8 @@ import pytest
 
 from sparsekm.errors import InvalidSpec, UsageError
 from sparsekm.kmeans import KmeansConfig
-from sparsekm.lab import (SweepReport, nondecreasing_within_slack, run_trial,
-                          sweep, wilson_interval)
+from sparsekm.lab import (SweepReport, SweepRow, nondecreasing_within_slack,
+                          run_trial, sweep, wilson_interval)
 from sparsekm.sparse import SparseKmeansConfig
 from sparsekm.synth import MixtureSpec
 
@@ -104,6 +104,22 @@ def test_sweep_report_files(tmp_path):
     assert float(first[4]) == report.rows[0].freq_gap
     loaded = json.loads(json_path.read_text())
     assert loaded == [asdict(r) for r in report.rows]
+
+
+def test_sweep_report_csv_bytes(tmp_path):
+    rows = [SweepRow(n=12, p=30, p_star=5, trials=20, freq_gap=0.75,
+                     gap_lo=0.5, gap_hi=0.9, freq_support=0.5,
+                     support_lo=0.25, support_hi=1.0, mean_ecr=0.1),
+            SweepRow(n=24, p=30, p_star=5, trials=20, freq_gap=1.0,
+                     gap_lo=0.8, gap_hi=1.0, freq_support=1.0,
+                     support_lo=0.8, support_hi=1.0, mean_ecr=0.0)]
+    path = tmp_path / "r.csv"
+    SweepReport(rows=rows).to_csv(path)
+    assert path.read_bytes() == (
+        b"n,p,p_star,trials,freq_gap,gap_lo,gap_hi,freq_support,"
+        b"support_lo,support_hi,mean_ecr\n"
+        b"12,30,5,20,0.75,0.5,0.9,0.5,0.25,1.0,0.1\n"
+        b"24,30,5,20,1.0,0.8,1.0,1.0,0.8,1.0,0.0\n")
 
 
 # -------------------------------------------------------------- helpers

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import sparsekm.metrics as metrics_mod
 from sparsekm.errors import IndexOutOfRange, LengthMismatch
 from sparsekm.metrics import (cer, confusion_proportions, contingency, ecr,
                               feature_counts, purity)
@@ -41,13 +40,14 @@ def test_cer_properties_random_pairs():
         assert v == pytest.approx(cer_bruteforce(a.tolist(), b.tolist()))
 
 
-def test_cer_contingency_path_matches_pairs(monkeypatch):
+def test_cer_contingency_path_matches_pairs():
     rng = np.random.default_rng(41)
-    a = rng.integers(0, 4, size=60)
-    b = rng.integers(0, 5, size=60)
-    direct = cer(a, b)
-    monkeypatch.setattr(metrics_mod, "_PAIRWISE_LIMIT", 10)
-    assert cer(a, b) == pytest.approx(direct, rel=1e-12)
+    for n in (2, 3, 60, 400):
+        a = rng.integers(0, 4, size=n)
+        b = rng.integers(0, 5, size=n)
+        iu = np.triu_indices(n, k=1)
+        differ = (a[:, None] == a[None, :]) != (b[:, None] == b[None, :])
+        assert cer(a, b) == float(np.mean(differ[iu]))
 
 
 def test_cer_errors():
