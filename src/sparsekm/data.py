@@ -141,10 +141,14 @@ def total_ss(m, w) -> float:
 
 def read_csv_matrix(path, *, header: bool = False) -> np.ndarray:
     """Read an n x p numeric CSV. Raises DataError with the offending line
-    number on parse failure."""
+    number on parse failure, and naming the path when it cannot be opened."""
     rows = []
     width = None
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from None
+    with fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row:
@@ -174,14 +178,23 @@ def write_csv_matrix(path, m) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
+def _csv_cell(v) -> str:
+    if not isinstance(v, str):
+        return repr(v)
+    if any(ch in v for ch in ',"\r\n'):
+        return '"' + v.replace('"', '""') + '"'
+    return v
+
+
 def write_csv_rows(path, header, rows) -> None:
     """Write a table as a header line and one line per row, "\n" ended.
 
-    String cells are written as they are, every other cell as repr(v);
-    callers pass Python scalars so floats print in shortest round-trip form.
+    String cells are written as they are, or double-quoted CSV-style when
+    they hold a comma, a quote or a line break (an E2 cell name does);
+    every other cell as repr(v). Callers pass Python scalars so floats
+    print in shortest round-trip form.
     """
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(map(_csv_cell, header)) + "\n")
         for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else repr(v)
-                              for v in row) + "\n")
+            fh.write(",".join(map(_csv_cell, row)) + "\n")

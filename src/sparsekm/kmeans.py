@@ -9,10 +9,21 @@ to round-off.
 An optional refinement stage (refine="swap") runs first-improvement
 single-point relocation sweeps after Lloyd converges, using the exact
 change in WCSS including the cluster-size factors n_b/(n_b+1) and
-n_a/(n_a-1). A relocation-stable labeling is also Lloyd-stable, so the
-returned state is still a fixed point. Lloyd alone stalls in shallow local
-minima when clusters overlap in many dimensions; the sweeps recover the
-deeper optima at small extra cost, and benchmarks enable them.
+n_a/(n_a-1) (Hartigan & Wong 1979, AS 136). A relocation-stable labeling
+is also Lloyd-stable, so the returned state is still a fixed point. Lloyd
+alone stalls in shallow local minima when clusters overlap in many
+dimensions; the sweeps recover the deeper optima at small extra cost, and
+benchmarks enable them.
+
+The sweeps are not a Python loop over points. _swap_refine keeps a k x n
+table of squared point-to-centroid distances and, from a cursor, tests
+every remaining point at once; it applies the first improving move,
+recomputes only the two table rows of the clusters it changed, and
+continues after the moved point. That makes the same decisions in the same
+order as visiting one point at a time, so labels are identical bit for
+bit. Each row is formed in a C-ordered buffer, so numpy sums every
+distance pairwise over contiguous memory, as it does for a single point,
+whatever the memory order of the input.
 
 lloyd_weighted and every restart of run_kmeans share one fit path,
 _fit_from: Lloyd, then the optional swap stage, then the WCSS of the final
@@ -155,36 +166,83 @@ def _lloyd_core(Y: np.ndarray, centers: np.ndarray, max_iters: int):
     return labels, iters, repairs
 
 
+def _distances(Y: np.ndarray, mu: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Squared distance ((y - mu)**2).sum() of every row y of Y, formed in
+    buf, a C-ordered array of Y's shape.
+
+    In a C-ordered array each row is contiguous and numpy sums it pairwise,
+    exactly as it sums the (k, p) block of a single point. Broadcasting an
+    F-ordered Y (sparse._alternate passes m[:, active], which is one) gives
+    an F-ordered difference whose rows numpy sums one element after the
+    other, which differs in the last bits.
+    """
+    np.subtract(Y, mu, out=buf)
+    np.square(buf, out=buf)
+    return buf.sum(axis=1)
+
+
 def _swap_refine(Y: np.ndarray, labels: np.ndarray, k: int):
     """First-improvement single-point relocation until no move lowers WCSS.
 
     The move criterion uses the exact WCSS change: removing point i from
     cluster a recovers n_a/(n_a-1) d(i, mu_a)^2 while inserting it into b
-    costs n_b/(n_b+1) d(i, mu_b)^2.
+    costs n_b/(n_b+1) d(i, mu_b)^2. Points are visited in index order, a
+    point alone in its cluster stays, ties go to the lowest b, and a pass
+    without a move (or MAX_SWAP_SWEEPS passes) ends the refinement.
+
+    The scan is event-driven over the k x n table d2[c, i] = d(i, mu_c)^2.
+    From a cursor, the gain and best cost of every remaining point are
+    formed at once; the first point whose move improves is moved and the
+    cursor continues after it. The points passed over saw the state a
+    point-by-point loop would have shown them, so the moves, and the
+    labels, are the same bit for bit. A move changes only mu_a and mu_b,
+    so only d2[a] and d2[b] are recomputed, and only from the cursor on:
+    the part before it is not read again until the next pass, which
+    recomputes it first (stale[c] marks where d2[c] becomes current).
     """
-    n = Y.shape[0]
+    n, p = Y.shape
+    Y = np.ascontiguousarray(Y)   # contiguous rows read faster in _distances
     labels = labels.copy()
     counts, sums = cluster_stats(Y, labels, k)
     counts = counts.astype(float)
+    buf = np.empty((n, p))
+    d2 = np.empty((k, n))
+    stale = np.full(k, n)
     for _ in range(MAX_SWAP_SWEEPS):
+        for c in np.flatnonzero(stale):
+            end = stale[c]
+            d2[c, :end] = _distances(Y[:end], sums[c] / counts[c], buf[:end])
+        stale[:] = 0
         moved = False
-        for i in range(n):
-            a = labels[i]
-            if counts[a] <= 1:
-                continue
-            mu = sums / counts[:, None]
-            d2 = ((Y[i] - mu) ** 2).sum(axis=1)
-            gain = counts[a] / (counts[a] - 1.0) * d2[a]
-            cost = counts / (counts + 1.0) * d2
-            cost[a] = np.inf
-            b = int(np.argmin(cost))
-            if cost[b] < gain - 1e-12:
-                sums[a] -= Y[i]
-                counts[a] -= 1.0
-                sums[b] += Y[i]
-                counts[b] += 1.0
-                labels[i] = b
-                moved = True
+        start = 0
+        while start < n:
+            # A keep factor of 0 pins a point alone in its cluster: no cost
+            # (>= 0) falls below a gain of 0 minus the margin.
+            keep = np.divide(counts, counts - 1.0, out=np.zeros(k),
+                             where=counts > 1.0)
+            own = labels[start:]
+            cols = np.arange(n - start)
+            gain = keep[own] * d2[own, cols + start]
+            cost = (counts / (counts + 1.0))[:, None] * d2[:, start:]
+            cost[own, cols] = np.inf
+            best = cost.argmin(axis=0)
+            improves = cost[best, cols] < gain - 1e-12
+            j = int(improves.argmax())
+            if not improves[j]:
+                break
+            i = start + j
+            a, b = labels[i], best[j]
+            sums[a] -= Y[i]
+            counts[a] -= 1.0
+            sums[b] += Y[i]
+            counts[b] += 1.0
+            labels[i] = b
+            start = i + 1
+            for c in (a, b):
+                d2[c, start:] = _distances(Y[start:], sums[c] / counts[c],
+                                           buf[start:])
+                stale[c] = start
+            moved = True
         if not moved:
             break
     return labels

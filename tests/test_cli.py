@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from sparsekm import cli
 from sparsekm.cli import _write_records_csv, build_parser, main
 from sparsekm.data import write_csv_matrix
 from sparsekm.errors import (DataError, DegenerateData, NumericalError,
@@ -132,6 +134,17 @@ def test_cluster_bad_csv_is_data_error(tmp_path, capsys):
                  "--k", "2", "--out", str(tmp_path / "x")])
     assert code == 2
     assert ":2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cluster", "tune"])
+def test_missing_input_is_data_error(tmp_path, capsys, command):
+    missing = tmp_path / "missing.csv"
+    extra = ["--s", "2"] if command == "cluster" else []
+    code = main([command, "--input", str(missing), "--method", "l0",
+                 "--k", "2", "--out", str(tmp_path / "x")] + extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err and "No such file" in err
 
 
 def test_cluster_degenerate_l1_is_numerical_error(tmp_path):
@@ -329,6 +342,27 @@ def test_records_csv_bytes(tmp_path):
     assert path.read_bytes() == (b"cell,rep,cer_l0,s_l0\n"
                                  b"E3a,0,0.25,3.0\n"
                                  b"E3b,1,nan,\n")
+
+
+def test_experiment_e2_csvs_parse(tmp_path, monkeypatch):
+    # E2 cell names hold a comma; run_experiment_cell is stubbed so only
+    # the CSV writers run.
+    def fake_cell(cell_id, params, reps, seed, *rest):
+        name = cli._cell_name(cell_id, params)
+        return [{"cell": name, "rep": rep, "cer_l0": 0.5 * rep, "s_l0": 3.0}
+                for rep in range(reps)]
+
+    monkeypatch.setattr(cli, "run_experiment_cell", fake_cell)
+    outdir = tmp_path / "exp"
+    assert main(["experiment", "--id", "E2", "--reps", "2",
+                 "--outdir", str(outdir)]) == 0
+    for name in ("E2_mu0.7_p200.reps.csv", "aggregate.csv", "long.csv"):
+        with open(outdir / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) > 1
+        assert all(len(row) == len(rows[0]) for row in rows), name
+        assert rows[1][0] in {cli._cell_name("E2", {"mu": mu, "p": p})
+                              for mu in (0.6, 0.7) for p in (200, 500, 1000)}
 
 
 # ------------------------------------------------------------- interface

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,24 @@ class TestCsv:
         assert path.read_bytes() == (b"name,note,count,value,missing\n"
                                      b"a,,3,0.1,nan\n"
                                      b"b,x,-12,1e-20,2.0\n")
+
+    def test_rows_quote_cells_that_need_it(self, tmp_path):
+        path = tmp_path / "q.csv"
+        write_csv_rows(path, ["cell", "note", "v"],
+                       [("E2(mu=0.7,p=200)", 'say "hi"', 1.5),
+                        ("E3a", "two\nlines", 2)])
+        assert path.read_bytes() == (b"cell,note,v\n"
+                                     b'"E2(mu=0.7,p=200)","say ""hi""",1.5\n'
+                                     b'E3a,"two\nlines",2\n')
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh))[1:] == [
+                ["E2(mu=0.7,p=200)", 'say "hi"', "1.5"],
+                ["E3a", "two\nlines", "2"]]
+
+    def test_missing_file_is_data_error(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(DataError, match="absent.csv: No such file"):
+            read_csv_matrix(path)
 
 
 def test_as_matrix_shape_checks():

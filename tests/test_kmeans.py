@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from sparsekm.data import weighted_wcss
+from sparsekm import kmeans
+from sparsekm.data import cluster_stats, weighted_wcss
 from sparsekm.errors import AllZeroWeights, DataError, DegenerateData
 from sparsekm.kmeans import (KmeansConfig, kmeans_pp_init, lloyd_weighted,
                              run_kmeans)
@@ -263,3 +264,97 @@ def test_desk_scale_oracle():
         best = oracle_min_wcss(m, w, k)
         hits += abs(res.wcss - best) <= 1e-9 * max(1.0, best)
     assert hits >= 36
+
+
+def swap_reference(Y, labels, k, max_sweeps):
+    """The point-by-point relocation loop: one point at a time, in index
+    order, centroids formed afresh for each point. Returns the labels and
+    the number of passes made."""
+    n = Y.shape[0]
+    labels = labels.copy()
+    counts, sums = cluster_stats(Y, labels, k)
+    counts = counts.astype(float)
+    passes = 0
+    for _ in range(max_sweeps):
+        passes += 1
+        moved = False
+        for i in range(n):
+            a = labels[i]
+            if counts[a] <= 1:
+                continue
+            mu = sums / counts[:, None]
+            d2 = ((Y[i] - mu) ** 2).sum(axis=1)
+            gain = counts[a] / (counts[a] - 1.0) * d2[a]
+            cost = counts / (counts + 1.0) * d2
+            cost[a] = np.inf
+            b = int(np.argmin(cost))
+            if cost[b] < gain - 1e-12:
+                sums[a] -= Y[i]
+                counts[a] -= 1.0
+                sums[b] += Y[i]
+                counts[b] += 1.0
+                labels[i] = b
+                moved = True
+        if not moved:
+            break
+    return labels, passes
+
+
+def swap_panel(seed):
+    """Seeded (Y, labels, k) starts: C- and F-ordered Y, p in {1, 2, 9,
+    300}, random starts (several passes) and starts with singletons."""
+    rng = np.random.default_rng(seed)
+    for p in (1, 2, 9, 300):
+        for order in ("C", "F"):
+            for n, k in ((7, 3), (40, 4), (90, 3)):
+                Y = np.asarray(rng.normal(size=(n, p))
+                               * rng.uniform(0.2, 3.0, size=p), order=order)
+                labels = rng.integers(0, k, size=n)
+                labels[:k] = np.arange(k)
+                yield Y, labels, k
+                singles = np.zeros(n, dtype=int)
+                singles[1:k] = np.arange(1, k)
+                yield Y, singles, k
+
+
+def test_swap_matches_reference_loop():
+    multi_pass = singleton_starts = 0
+    for Y, labels, k in swap_panel(18):
+        want, passes = swap_reference(Y, labels, k, kmeans.MAX_SWAP_SWEEPS)
+        assert np.array_equal(kmeans._swap_refine(Y, labels, k), want)
+        multi_pass += passes > 2
+        singleton_starts += (np.bincount(labels, minlength=k) == 1).any()
+    # the panel exercises the cases the scan must get right
+    assert multi_pass >= 10 and singleton_starts >= 10
+    # and through the fit path, where sparse fits pass F-ordered columns
+    rng = np.random.default_rng(19)
+    m = np.asfortranarray(rng.normal(size=(50, 40)))[:, ::3]
+    for seed in range(4):
+        cfg = KmeansConfig(k=3, restarts=1, seed=seed)
+        plain = run_kmeans(m, np.ones(m.shape[1]), cfg)
+        want, _ = swap_reference(m, plain.labels, 3, kmeans.MAX_SWAP_SWEEPS)
+        cfg.refine = "swap"
+        assert np.array_equal(
+            run_kmeans(m, np.ones(m.shape[1]), cfg).labels, want)
+
+
+def test_swap_sweep_cap_matches_reference_loop(monkeypatch):
+    monkeypatch.setattr(kmeans, "MAX_SWAP_SWEEPS", 1)
+    capped = 0
+    for Y, labels, k in swap_panel(20):
+        want, _ = swap_reference(Y, labels, k, 1)
+        full, _ = swap_reference(Y, labels, k, 100)
+        assert np.array_equal(kmeans._swap_refine(Y, labels, k), want)
+        capped += not np.array_equal(want, full)
+    assert capped >= 10
+
+
+@pytest.mark.parametrize("p", [9, 300])
+def test_distances_match_single_point_sums(p):
+    rng = np.random.default_rng(21)
+    Y = np.asfortranarray(rng.normal(size=(200, p)))
+    mus = rng.normal(size=(3, p))
+    got = np.stack([kmeans._distances(Y, mu, np.empty(Y.shape))
+                    for mu in mus], axis=1)
+    want = np.stack([((Y[i] - mus) ** 2).sum(axis=1) for i in range(200)])
+    assert np.array_equal(got, want)
