@@ -24,7 +24,7 @@ from ._rng import spawn_seed
 from .data import bcss_per_feature, read_csv_matrix, standardize, \
     write_csv_matrix, write_csv_rows
 from .errors import DataError, SparsekmError, UsageError
-from .gap import default_grid, gap_statistic
+from .gap import gap_statistic
 from .kmeans import KmeansConfig, run_kmeans
 from .lab import sweep
 from .metrics import cer, ecr, feature_counts
@@ -69,14 +69,10 @@ def _manifest(path, args, started, outputs, warnings_seen=()) -> None:
     _write_json(path, payload)
 
 
-def _experiment_from_args(args) -> MixtureSpec:
-    return experiment_spec(args.experiment, mu=args.mu, p=args.p,
-                           rho=args.rho, seed=args.seed)
-
-
 def cmd_generate(args) -> int:
     started = time.monotonic()
-    spec = _experiment_from_args(args)
+    spec = experiment_spec(args.experiment, mu=args.mu, p=args.p,
+                           rho=args.rho, seed=args.seed)
     x, truth = generate(spec)
     csv_path = f"{args.out}.csv"
     truth_path = f"{args.out}.truth.json"
@@ -93,8 +89,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _inner_config(args, k) -> KmeansConfig:
-    return KmeansConfig(k=k, restarts=args.restarts, seed=args.seed,
+def _inner_config(args) -> KmeansConfig:
+    return KmeansConfig(k=args.k, restarts=args.restarts, seed=args.seed,
                         refine=args.refine)
 
 
@@ -123,7 +119,7 @@ def _fit_payload(result, method, s) -> dict:
 def cmd_cluster(args) -> int:
     started = time.monotonic()
     x = _load_input(args)
-    inner = _inner_config(args, args.k)
+    inner = _inner_config(args)
     if args.method == "kmeans":
         # plain k-means as the sparse fit that keeps every feature at weight 1
         p = x.shape[1]
@@ -146,9 +142,10 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _parse_grid(text, method, p):
+def _parse_grid(text):
+    """The --grid values, or None for gap_statistic's default grid."""
     if text is None:
-        return default_grid(method, p)
+        return None
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
@@ -161,13 +158,13 @@ def _parse_grid(text, method, p):
 def cmd_tune(args) -> int:
     started = time.monotonic()
     x = _load_input(args)
-    grid = _parse_grid(args.grid, args.method, x.shape[1])
-    caught = []
+    inner = _inner_config(args)
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
-        profile = gap_statistic(x, args.method, _inner_config(args, args.k),
-                                grid=grid, b=args.permutations,
-                                one_se=args.one_se, threads=_threads(args))
+        profile = gap_statistic(x, args.method, inner,
+                                grid=_parse_grid(args.grid),
+                                b=args.permutations, one_se=args.one_se,
+                                threads=_threads(args))
         caught = [str(w.message) for w in wlist]
     at = int(np.flatnonzero(profile.grid == profile.chosen_s)[0])
     if not np.isnan(profile.gap[at]) and \
@@ -181,9 +178,8 @@ def cmd_tune(args) -> int:
                             "method": args.method})
     outputs = [csv_path, json_path]
     if args.fit:
-        cfg = SparseKmeansConfig(s=profile.chosen_s, method=args.method,
-                                 inner=_inner_config(args, args.k))
-        result = sparse_kmeans(x, cfg)
+        result = sparse_kmeans(x, SparseKmeansConfig(
+            s=profile.chosen_s, method=args.method, inner=inner))
         fit_path = f"{args.out}.fit.json"
         _write_json(fit_path, _fit_payload(result, args.method,
                                            profile.chosen_s))
@@ -198,6 +194,8 @@ def _load_json(path, required_keys):
             payload = json.load(fh)
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not {exc.encoding} text")
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}")
     for key in required_keys:
@@ -300,41 +298,32 @@ def cmd_experiment(args) -> int:
     started = time.monotonic()
     os.makedirs(args.outdir, exist_ok=True)
     outputs = []
-    all_records = []
+    agg_rows = []
+    long_rows = []
     for cell_id, params in _experiment_cells(args.id):
         records = run_experiment_cell(cell_id, params, args.reps, args.seed,
                                       args.restarts, args.tune_restarts,
                                       args.permutations, _threads(args))
-        all_records.extend(records)
-        name = _cell_name(cell_id, params).replace("(", "_").replace(")", "") \
-            .replace(",", "_").replace("=", "")
-        cell_path = os.path.join(args.outdir, f"{name}.reps.csv")
+        cell = _cell_name(cell_id, params)
+        stem = cell.replace("(", "_").replace(")", "").replace(",", "_") \
+            .replace("=", "")
+        cell_path = os.path.join(args.outdir, f"{stem}.reps.csv")
         _write_records_csv(cell_path, records)
         outputs.append(cell_path)
-    agg_path = os.path.join(args.outdir, "aggregate.csv")
-    metric_names = sorted({name for rec in all_records
-                           for name in rec if name not in ("cell", "rep")})
-    cells = []
-    for rec in all_records:
-        if rec["cell"] not in cells:
-            cells.append(rec["cell"])
-    agg_rows = []
-    for cell in cells:
-        block = [rec for rec in all_records if rec["cell"] == cell]
-        for name in metric_names:
-            vals = np.array([rec[name] for rec in block if name in rec])
-            if vals.size == 0:
-                continue
+        names = sorted({name for rec in records
+                        for name in rec if name not in ("cell", "rep")})
+        for name in names:
+            vals = np.array([rec[name] for rec in records if name in rec])
             sd = float(vals.std(ddof=1)) if vals.size > 1 else ""
             agg_rows.append((cell, name, float(vals.mean()), sd, vals.size))
+        long_rows.extend((rec["cell"], rec["rep"], name, rec[name])
+                         for rec in records for name in names if name in rec)
+    agg_path = os.path.join(args.outdir, "aggregate.csv")
     write_csv_rows(agg_path, ("cell", "metric", "mean", "sd", "reps"),
                    agg_rows)
     outputs.append(agg_path)
     long_path = os.path.join(args.outdir, "long.csv")
-    write_csv_rows(long_path, ("cell", "rep", "metric", "value"),
-                   [(rec["cell"], rec["rep"], name, rec[name])
-                    for rec in all_records
-                    for name in metric_names if name in rec])
+    write_csv_rows(long_path, ("cell", "rep", "metric", "value"), long_rows)
     outputs.append(long_path)
     _manifest(os.path.join(args.outdir, "manifest.json"), args, started,
               outputs)

@@ -141,7 +141,8 @@ def total_ss(m, w) -> float:
 
 def read_csv_matrix(path, *, header: bool = False) -> np.ndarray:
     """Read an n x p numeric CSV. Raises DataError with the offending line
-    number on parse failure, and naming the path when it cannot be opened."""
+    number on parse failure, and naming the path when it cannot be opened
+    or decoded."""
     rows = []
     width = None
     try:
@@ -149,22 +150,24 @@ def read_csv_matrix(path, *, header: bool = False) -> np.ndarray:
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from None
     with fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if header and lineno == 1:
-                continue
-            try:
-                vals = [float(cell) for cell in row]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise DataError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(vals)}")
-            rows.append(vals)
+        try:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row:
+                    continue
+                if header and lineno == 1:
+                    continue
+                try:
+                    vals = [float(cell) for cell in row]
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+                if width is None:
+                    width = len(vals)
+                elif len(vals) != width:
+                    raise DataError(f"{path}:{lineno}: expected {width} "
+                                    f"columns, got {len(vals)}")
+                rows.append(vals)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not {exc.encoding} text") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     return as_matrix(np.array(rows), name=path)

@@ -9,9 +9,9 @@ cluster structure). Then
     se(s)  = sd_t(log O_t(s)) * sqrt(1 + 1/b)
 
 and the chosen s maximizes the gap, ties to the smaller s. The cells of
-the (grid x permutation) table are independent and may be evaluated on a
-thread pool; every cell draws from the RNG stream named by its indices, so
-results are identical at any thread count.
+the (grid x permutation) table are independent and run on a pool of
+`threads` workers, even one; every cell draws from the RNG stream named
+by its indices, so results are identical at any thread count.
 """
 
 from __future__ import annotations
@@ -86,11 +86,12 @@ def gap_statistic(m, method: str, inner: KmeansConfig, grid=None, b: int = 10,
         raise UsageError("grid must be non-empty and strictly ascending")
     if b < 2:
         raise UsageError(f"need at least 2 permutations, got {b}")
+    if threads < 1:
+        raise UsageError(f"need at least 1 thread, got {threads}")
     for s in grid:
         SparseKmeansConfig(s=float(s), method=method, inner=inner).validated(*m.shape)
 
-    seed = inner.seed
-    nulls = [permute_columns(m, spawn_seed(seed, _PERMUTE, t))
+    nulls = [permute_columns(m, spawn_seed(inner.seed, _PERMUTE, t))
              for t in range(b)]
     jobs = [(i, -1, m) for i in range(grid.size)]
     jobs += [(i, t, nulls[t]) for i in range(grid.size) for t in range(b)]
@@ -100,11 +101,8 @@ def gap_statistic(m, method: str, inner: KmeansConfig, grid=None, b: int = 10,
         path = (_REAL, i) if t < 0 else (_NULL, i, t)
         return _objective(data, grid[i], method, inner, path)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(run, jobs))
-    else:
-        values = [run(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        values = list(pool.map(run, jobs))
 
     objective = np.array(values[: grid.size])
     null_obj = np.array(values[grid.size:]).reshape(grid.size, b)

@@ -25,9 +25,10 @@ bit. Each row is formed in a C-ordered buffer, so numpy sums every
 distance pairwise over contiguous memory, as it does for a single point,
 whatever the memory order of the input.
 
-lloyd_weighted and every restart of run_kmeans share one fit path,
-_fit_from: Lloyd, then the optional swap stage, then the WCSS of the final
-labels. All per-cluster counts and sums come from data.cluster_stats.
+_best_fit is the one fit loop, from the start lloyd_weighted gives or
+from each k-means++ restart of run_kmeans: Lloyd, the optional swap stage,
+then the WCSS of the final labels. All per-cluster counts and sums come
+from data.cluster_stats.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def _distances(Y: np.ndarray, mu: np.ndarray, buf: np.ndarray) -> np.ndarray:
 
     In a C-ordered array each row is contiguous and numpy sums it pairwise,
     exactly as it sums the (k, p) block of a single point. Broadcasting an
-    F-ordered Y (sparse._alternate passes m[:, active], which is one) gives
+    F-ordered Y (sparse_kmeans passes m[:, active], which is one) gives
     an F-ordered difference whose rows numpy sums one element after the
     other, which differs in the last bits.
     """
@@ -248,24 +249,25 @@ def _swap_refine(Y: np.ndarray, labels: np.ndarray, k: int):
     return labels
 
 
-def _fit_from(Y: np.ndarray, centers: np.ndarray, cfg: KmeansConfig):
-    """One start on a pre-scaled matrix. Returns labels, their classical
-    WCSS, Lloyd iterations and repairs. No cluster is empty: Lloyd repairs
-    empty ones and swap never empties one."""
-    labels, iters, repairs = _lloyd_core(Y, centers, cfg.max_iters)
-    if cfg.refine == "swap":
-        labels = _swap_refine(Y, labels, cfg.k)
-    counts, sums = cluster_stats(Y, labels, cfg.k)
-    mu = sums / counts[:, None]
-    wcss = float((Y**2).sum() - counts @ (mu**2).sum(axis=1))
-    return labels, wcss, iters, repairs
-
-
-def _finish(m, labels, wcss, k, iters, restart_index, repairs) -> KmeansResult:
-    counts, sums = cluster_stats(m, labels, k)
+def _best_fit(m, Y, starts, cfg: KmeansConfig) -> KmeansResult:
+    """Fit from every start on Y (m pre-scaled); the lowest classical WCSS
+    wins, the first on ties. No cluster is empty: Lloyd repairs empty ones
+    and swap never empties one."""
+    best = None
+    for r, centers in enumerate(starts):
+        labels, iters, repairs = _lloyd_core(Y, centers, cfg.max_iters)
+        if cfg.refine == "swap":
+            labels = _swap_refine(Y, labels, cfg.k)
+        counts, sums = cluster_stats(Y, labels, cfg.k)
+        mu = sums / counts[:, None]
+        wcss = float((Y**2).sum() - counts @ (mu**2).sum(axis=1))
+        if best is None or wcss < best[1]:
+            best = (labels, wcss, iters, r, repairs)
+    labels, wcss, iters, r, repairs = best
+    counts, sums = cluster_stats(m, labels, cfg.k)
     return KmeansResult(labels=labels, centroids=sums / counts[:, None],
                         wcss=2.0 * max(wcss, 0.0), iters_used=iters,
-                        restart_index=restart_index, repairs=repairs)
+                        restart_index=r, repairs=repairs)
 
 
 def lloyd_weighted(m, w, init_centroids, cfg: KmeansConfig) -> KmeansResult:
@@ -278,8 +280,7 @@ def lloyd_weighted(m, w, init_centroids, cfg: KmeansConfig) -> KmeansResult:
     centers = np.asarray(init_centroids, dtype=float) * root
     if centers.shape[1] != m.shape[1]:
         raise DataError("init centroids and data disagree on p")
-    labels, wcss, iters, repairs = _fit_from(Y, centers, cfg)
-    return _finish(m, labels, wcss, cfg.k, iters, 0, repairs)
+    return _best_fit(m, Y, [centers], cfg)
 
 
 def run_kmeans(m, w, cfg: KmeansConfig, path: tuple = ()) -> KmeansResult:
@@ -292,11 +293,6 @@ def run_kmeans(m, w, cfg: KmeansConfig, path: tuple = ()) -> KmeansResult:
     cfg.validated(m.shape[0])
     w = _check_weights(w, m.shape[1])
     Y = m * np.sqrt(w)
-    best = None
-    for r in range(cfg.restarts):
-        idx = _pp_indices(Y, cfg.k, rng_for(cfg.seed, *path, r))
-        labels, wcss, iters, repairs = _fit_from(Y, Y[idx], cfg)
-        if best is None or wcss < best[1]:
-            best = (labels, wcss, iters, r, repairs)
-    labels, wcss, iters, r, repairs = best
-    return _finish(m, labels, wcss, cfg.k, iters, r, repairs)
+    starts = (Y[_pp_indices(Y, cfg.k, rng_for(cfg.seed, *path, r))]
+              for r in range(cfg.restarts))
+    return _best_fit(m, Y, starts, cfg)

@@ -107,10 +107,6 @@ def run_trial(spec: MixtureSpec, cfg: SparseKmeansConfig) -> TrialOutcome:
                         seed=spec.seed)
 
 
-def _default_inner(k: int, seed: int) -> KmeansConfig:
-    return KmeansConfig(k=k, restarts=10, seed=seed, refine="swap")
-
-
 def sweep(base_spec: MixtureSpec, n_list, trials: int,
           inner: KmeansConfig | None = None) -> SweepReport:
     """Trial frequencies for each n in n_list (ascending), p and p_star
@@ -118,6 +114,8 @@ def sweep(base_spec: MixtureSpec, n_list, trials: int,
     from (sweep seed, setting index, trial index)."""
     if trials < 20:
         raise UsageError(f"need at least 20 trials, got {trials}")
+    if inner is None:
+        inner = KmeansConfig(k=base_spec.k, restarts=10, refine="swap")
     rows = []
     for si, n in enumerate(sorted(int(v) for v in n_list)):
         scaled = with_total_n(base_spec, n)
@@ -126,10 +124,9 @@ def sweep(base_spec: MixtureSpec, n_list, trials: int,
         for ti in range(trials):
             trial_seed = spawn_seed(base_spec.seed, si, ti)
             spec = replace(scaled, seed=trial_seed)
-            trial_inner = replace(inner, seed=trial_seed) if inner is not None \
-                else _default_inner(spec.k, trial_seed)
             out = run_trial(spec, SparseKmeansConfig(
-                s=float(spec.p_star), method="l0", inner=trial_inner))
+                s=float(spec.p_star), method="l0",
+                inner=replace(inner, seed=trial_seed)))
             hits_gap += out.gap_event
             hits_support += out.exact_support
             ecr_sum += out.ecr

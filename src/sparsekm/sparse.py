@@ -1,6 +1,7 @@
 """Sparse k-means: hard- and soft-thresholded feature weights.
 
-Both methods alternate two steps from uniform starting weights 1/sqrt(p):
+Both methods run one alternation, sparse_kmeans, from uniform starting
+weights 1/sqrt(p); only the weight update in step 2 differs:
 
   1. cluster with the current weights (weighted k-means on the active
      features, columns scaled by sqrt(w_j));
@@ -29,6 +30,17 @@ METHODS = ("l0", "l1")
 OUTER_TOL = 1e-4
 
 
+def _check_s(method: str, s: float, p: int) -> None:
+    """Raise unless 1 <= floor(s) <= p (l0) or 1 <= s <= sqrt(p) (l1)."""
+    if method == "l0":
+        if not 1 <= np.floor(s) <= p:   # False for nan, so nan is refused
+            raise SparsityOutOfRange(
+                f"l0 needs 1 <= floor(s) <= p={p}, got s={s}")
+    elif not 1.0 <= s <= np.sqrt(p) + 1e-9:
+        raise SparsityOutOfRange(
+            f"l1 needs 1 <= s <= sqrt(p)={np.sqrt(p):.4f}, got s={s}")
+
+
 @dataclass
 class SparseKmeansConfig:
     s: float
@@ -39,14 +51,7 @@ class SparseKmeansConfig:
     def validated(self, n: int, p: int) -> "SparseKmeansConfig":
         if self.method not in METHODS:
             raise DataError(f"method must be one of {METHODS}")
-        if self.method == "l0":
-            if not 1 <= int(np.floor(self.s)) <= p:
-                raise SparsityOutOfRange(
-                    f"l0 needs 1 <= floor(s) <= p={p}, got s={self.s}")
-        else:
-            if not 1.0 <= self.s <= np.sqrt(p) + 1e-9:
-                raise SparsityOutOfRange(
-                    f"l1 needs 1 <= s <= sqrt(p)={np.sqrt(p):.4f}, got s={self.s}")
+        _check_s(self.method, self.s, p)
         if self.max_outer_iters < 1:
             raise DataError("max_outer_iters must be >= 1")
         self.inner.validated(n)
@@ -71,9 +76,8 @@ def l0_weight_update(a, s: float) -> np.ndarray:
     index. Maximizes w.a over the l0 feasible set in O(p) expected time."""
     a = np.asarray(a, dtype=float)
     p = a.shape[0]
+    _check_s("l0", s, p)
     s_int = int(np.floor(s))
-    if not 1 <= s_int <= p:
-        raise SparsityOutOfRange(f"need 1 <= floor(s) <= {p}, got s={s}")
     w = np.zeros(p)
     if s_int == p:
         w[:] = 1.0
@@ -92,9 +96,7 @@ def l1_weight_update(a, s: float) -> np.ndarray:
     delta = 0 when the l1 constraint is slack, else found by bisection so
     ||w||_1 lands within 1e-8 of s."""
     a = np.asarray(a, dtype=float)
-    p = a.shape[0]
-    if not 1.0 <= s <= np.sqrt(p) + 1e-9:
-        raise SparsityOutOfRange(f"need 1 <= s <= sqrt(p)={np.sqrt(p):.4f}, got {s}")
+    _check_s("l1", s, a.shape[0])
     amax = float(a.max(initial=-np.inf))
     if amax <= 0.0:
         raise AllNonPositiveBcss("no positive between-cluster dispersion")
@@ -124,28 +126,34 @@ def l1_weight_update(a, s: float) -> np.ndarray:
     return w
 
 
-def _weight_update(a, cfg: SparseKmeansConfig) -> np.ndarray:
-    if cfg.method == "l0":
-        return l0_weight_update(a, cfg.s)
-    return l1_weight_update(a, cfg.s)
+def l0_kmeans(m, cfg: SparseKmeansConfig, path: tuple = ()) -> SparseKmeansResult:
+    if cfg.method != "l0":
+        raise DataError(f"l0_kmeans called with method={cfg.method!r}")
+    return sparse_kmeans(m, cfg, path)
 
 
-def _alternate(m, cfg: SparseKmeansConfig, path: tuple) -> SparseKmeansResult:
+def l1_kmeans(m, cfg: SparseKmeansConfig, path: tuple = ()) -> SparseKmeansResult:
+    if cfg.method != "l1":
+        raise DataError(f"l1_kmeans called with method={cfg.method!r}")
+    return sparse_kmeans(m, cfg, path)
+
+
+def sparse_kmeans(m, cfg: SparseKmeansConfig, path: tuple = ()) -> SparseKmeansResult:
+    """The alternation of either method (see the module docstring); path
+    extends the RNG stream names of the inner k-means fits."""
     m = as_matrix(m)
     n, p = m.shape
-    cfg.validated(n, p)
+    cfg.validated(n, p)  # max_outer_iters >= 1: the loop binds inner and a
     w = np.full(p, 1.0 / np.sqrt(p))
     feasible = False  # the uniform start is not in either feasible set
-    inner = None
-    a = None
     converged = False
-    outer = 0
+    update = l0_weight_update if cfg.method == "l0" else l1_weight_update
     for outer in range(1, cfg.max_outer_iters + 1):
         active = np.flatnonzero(w > NONZERO_TOL)
         inner = run_kmeans(m[:, active], w[active], cfg.inner,
                            path=(*path, outer))
         a = bcss_per_feature(m, inner.labels, cfg.inner.k)
-        w_new = _weight_update(a, cfg)
+        w_new = update(a, cfg.s)
         if feasible and w_new @ a < w @ a - 1e-9 * max(1.0, abs(w @ a)):
             raise NumericalError("weight update decreased the objective")
         delta = np.abs(w_new - w).sum() / np.abs(w).sum()
@@ -159,20 +167,3 @@ def _alternate(m, cfg: SparseKmeansConfig, path: tuple) -> SparseKmeansResult:
                               objective=float(w @ a), outer_iters=outer,
                               converged=converged, selected_features=selected,
                               bcss=a, inner=inner)
-
-
-def l0_kmeans(m, cfg: SparseKmeansConfig, path: tuple = ()) -> SparseKmeansResult:
-    if cfg.method != "l0":
-        raise DataError(f"l0_kmeans called with method={cfg.method!r}")
-    return _alternate(m, cfg, path)
-
-
-def l1_kmeans(m, cfg: SparseKmeansConfig, path: tuple = ()) -> SparseKmeansResult:
-    if cfg.method != "l1":
-        raise DataError(f"l1_kmeans called with method={cfg.method!r}")
-    return _alternate(m, cfg, path)
-
-
-def sparse_kmeans(m, cfg: SparseKmeansConfig, path: tuple = ()) -> SparseKmeansResult:
-    """Dispatch on cfg.method."""
-    return _alternate(m, cfg, path)

@@ -79,6 +79,11 @@ def _three_cluster_means(mu: float, p_star: int) -> np.ndarray:
     return np.array([[mu] * p_star, [-mu] * p_star, [0.0] * p_star])
 
 
+# the parameters each named benchmark needs from the caller; it fixes the rest
+_PRESET_PARAMS = {"E1": (), "E2": ("mu", "p"), "E3a": (), "E3b": (),
+                  "E4": ("rho",)}
+
+
 def experiment_spec(exp_id: str, *, mu: float | None = None,
                     p: int | None = None, rho: float | None = None,
                     seed: int = 0) -> MixtureSpec:
@@ -91,14 +96,22 @@ def experiment_spec(exp_id: str, *, mu: float | None = None,
     E3b  : E2 pattern with 3 clusters of 20, p=500, p*=50, mu=0.7
     E4   : E1 shape with cluster c mean 1.0(c+1) and AR(1) noise
            (rho required)
+
+    A missing required parameter, or a mu, p or rho that the preset fixes,
+    raises InvalidSpec.
     """
+    if exp_id not in _PRESET_PARAMS:
+        raise UnknownExperiment(f"unknown experiment id {exp_id!r}")
+    for name, value in (("mu", mu), ("p", p), ("rho", rho)):
+        if name in _PRESET_PARAMS[exp_id] and value is None:
+            raise InvalidSpec(f"{exp_id} needs {name}")
+        if name not in _PRESET_PARAMS[exp_id] and value is not None:
+            raise InvalidSpec(f"{exp_id} fixes {name}; got {name}={value}")
     if exp_id == "E1":
         means = np.outer(0.5 * np.arange(1, 7), np.ones(200))
         return MixtureSpec(k=6, sizes=(20,) * 6, p=2000, p_star=200,
                            means=means, rho=0.0, seed=seed)
     if exp_id == "E2":
-        if mu is None or p is None:
-            raise InvalidSpec("E2 needs mu and p")
         return MixtureSpec(k=3, sizes=(20, 20, 20), p=int(p), p_star=50,
                            means=_three_cluster_means(mu, 50), rho=0.0,
                            seed=seed)
@@ -111,12 +124,9 @@ def experiment_spec(exp_id: str, *, mu: float | None = None,
                            means=_three_cluster_means(0.7, 50), rho=0.0,
                            seed=seed)
     if exp_id == "E4":
-        if rho is None:
-            raise InvalidSpec("E4 needs rho")
         means = np.outer(1.0 * np.arange(1, 7), np.ones(200))
         return MixtureSpec(k=6, sizes=(20,) * 6, p=2000, p_star=200,
                            means=means, rho=float(rho), seed=seed)
-    raise UnknownExperiment(f"unknown experiment id {exp_id!r}")
 
 
 def with_total_n(spec: MixtureSpec, n: int) -> MixtureSpec:

@@ -147,6 +147,20 @@ def test_missing_input_is_data_error(tmp_path, capsys, command):
     assert str(missing) in err and "No such file" in err
 
 
+@pytest.mark.parametrize("command", ["cluster", "tune", "evaluate"])
+def test_non_utf8_input_is_data_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe1,2\n3,4\n")
+    if command == "evaluate":
+        argv = ["evaluate", "--result", str(bad), "--truth", str(bad)]
+    else:
+        argv = [command, "--input", str(bad), "--method", "l0", "--k", "2"]
+        argv += ["--s", "2"] if command == "cluster" else []
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "not utf-8 text" in err
+
+
 def test_cluster_degenerate_l1_is_numerical_error(tmp_path):
     flat = tmp_path / "flat.csv"
     write_csv_matrix(flat, np.ones((10, 4)))
@@ -363,6 +377,49 @@ def test_experiment_e2_csvs_parse(tmp_path, monkeypatch):
         assert all(len(row) == len(rows[0]) for row in rows), name
         assert rows[1][0] in {cli._cell_name("E2", {"mu": mu, "p": p})
                               for mu in (0.6, 0.7) for p in (200, 500, 1000)}
+
+
+def test_experiment_tables_bytes(tmp_path, monkeypatch):
+    # Two cells of two reps; pnw_l1 is only in rep 1 of E3b, so E3b has one
+    # aggregate row over one rep (empty sd) and one long row more than E3a.
+    def fake_cell(cell_id, params, reps, seed, *rest):
+        shift = 1.0 if cell_id == "E3b" else 0.0
+        records = [{"cell": cell_id, "rep": rep, "cer_l0": 0.25 * rep + shift,
+                    "s_l0": 3.0 + rep} for rep in range(reps)]
+        if cell_id == "E3b":
+            records[1]["pnw_l1"] = 2
+        return records
+
+    monkeypatch.setattr(cli, "run_experiment_cell", fake_cell)
+    outdir = tmp_path / "exp"
+    assert main(["experiment", "--id", "E3", "--reps", "2",
+                 "--outdir", str(outdir)]) == 0
+    assert (outdir / "aggregate.csv").read_bytes() == (
+        b"cell,metric,mean,sd,reps\n"
+        b"E3a,cer_l0,0.125,0.1767766952966369,2\n"
+        b"E3a,s_l0,3.5,0.7071067811865476,2\n"
+        b"E3b,cer_l0,1.125,0.1767766952966369,2\n"
+        b"E3b,pnw_l1,2.0,,1\n"
+        b"E3b,s_l0,3.5,0.7071067811865476,2\n")
+    assert (outdir / "long.csv").read_bytes() == (
+        b"cell,rep,metric,value\n"
+        b"E3a,0,cer_l0,0.0\n"
+        b"E3a,0,s_l0,3.0\n"
+        b"E3a,1,cer_l0,0.25\n"
+        b"E3a,1,s_l0,4.0\n"
+        b"E3b,0,cer_l0,1.0\n"
+        b"E3b,0,s_l0,3.0\n"
+        b"E3b,1,cer_l0,1.25\n"
+        b"E3b,1,pnw_l1,2\n"
+        b"E3b,1,s_l0,4.0\n")
+
+
+def test_generate_rejects_preset_params(tmp_path, capsys):
+    out = tmp_path / "e1"
+    assert main(["generate", "--experiment", "E1", "--mu", "9", "--p", "5",
+                 "--rho", "0.5", "--out", str(out)]) == 1
+    assert "E1 fixes mu" in capsys.readouterr().err
+    assert not (tmp_path / "e1.csv").exists()
 
 
 # ------------------------------------------------------------- interface

@@ -151,6 +151,8 @@ def test_gap_argument_validation():
         gap_statistic(m, "l0", cfg(), grid=np.array([]), b=3)
     with pytest.raises(UsageError):
         gap_statistic(m, "l0", cfg(), grid=np.array([2.0]), b=1)
+    with pytest.raises(UsageError):
+        gap_statistic(m, "l0", cfg(), grid=np.array([2.0]), b=2, threads=0)
     with pytest.raises(SparsityOutOfRange):
         gap_statistic(m, "l0", cfg(), grid=np.array([2.0, 9.0]), b=2)
     with pytest.raises(SparsityOutOfRange):

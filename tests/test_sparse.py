@@ -98,6 +98,9 @@ def test_l0_update_range_errors():
         l0_weight_update(a, 0.5)
     with pytest.raises(SparsityOutOfRange):
         l0_weight_update(a, 5.0)
+    for s in (np.nan, np.inf):
+        with pytest.raises(SparsityOutOfRange):
+            l0_weight_update(a, s)
 
 
 # -------------------------------------------------------------- l1 update

@@ -66,6 +66,18 @@ def test_experiment_spec_errors():
         experiment_spec("E9")
 
 
+@pytest.mark.parametrize("exp_id, kwargs, fixed", [
+    ("E1", {"rho": 0.5}, "rho"),
+    ("E2", {"mu": 0.7, "p": 200, "rho": 0.5}, "rho"),
+    ("E3a", {"p": 5}, "p"),
+    ("E3b", {"mu": 9.0}, "mu"),
+    ("E4", {"rho": 0.3, "p": 100}, "p"),
+])
+def test_experiment_spec_rejects_fixed_params(exp_id, kwargs, fixed):
+    with pytest.raises(InvalidSpec, match=f"{exp_id} fixes {fixed}"):
+        experiment_spec(exp_id, **kwargs)
+
+
 def test_generate_shapes_and_grouping():
     x, truth = generate(experiment_spec("E2", mu=0.7, p=200, seed=3))
     assert x.shape == (60, 200)
