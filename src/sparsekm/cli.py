@@ -4,7 +4,9 @@ Subcommands: generate, cluster, tune, evaluate, experiment, sweep.
 Structured results are JSON, tabular results CSV. Every command but
 evaluate takes --seed and is fully deterministic given it; tune and
 experiment take --threads (or the SPARSEKM_THREADS variable), which only
-changes wall time, never output bytes.
+changes wall time, never output bytes. Each cmd_* function writes its
+outputs and returns (manifest path, outputs, warnings); main times the
+command and writes every manifest from that.
 Exit codes: 0 success, 1 usage, 2 data error, 3 numerical failure.
 """
 
@@ -39,14 +41,30 @@ class _Parser(argparse.ArgumentParser):
 
 def _threads(args) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("SPARSEKM_THREADS")
-    if env:
+        value, source = args.threads, f"--threads {args.threads}"
+    else:
+        env = os.environ.get("SPARSEKM_THREADS")
+        if not env:
+            return 1
+        source = f"SPARSEKM_THREADS={env!r}"
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError:
-            raise UsageError(f"SPARSEKM_THREADS={env!r} is not an integer")
-    return 1
+            raise UsageError(f"{source} is not an integer")
+    if value < 1:
+        raise UsageError(f"{source}: need at least 1 thread")
+    return value
+
+
+def _parse_list(text, kind, flag):
+    """The comma-separated values of a list flag, each converted by kind."""
+    try:
+        values = [kind(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise UsageError(f"malformed {flag} {text!r}")
+    if not values:
+        raise UsageError(f"empty {flag}")
+    return values
 
 
 def _write_json(path, payload) -> None:
@@ -55,22 +73,7 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _manifest(path, args, started, outputs, warnings_seen=()) -> None:
-    payload = {
-        "command": args.command,
-        "config": {k: v for k, v in sorted(vars(args).items())
-                   if k not in ("command", "func") and v is not None},
-        "seed": getattr(args, "seed", None),
-        "version": __version__,
-        "duration_s": round(time.monotonic() - started, 3),
-        "outputs": [str(o) for o in outputs],
-        "warnings": list(warnings_seen),
-    }
-    _write_json(path, payload)
-
-
-def cmd_generate(args) -> int:
-    started = time.monotonic()
+def cmd_generate(args):
     spec = experiment_spec(args.experiment, mu=args.mu, p=args.p,
                            rho=args.rho, seed=args.seed)
     x, truth = generate(spec)
@@ -84,9 +87,7 @@ def cmd_generate(args) -> int:
                  "p_star": spec.p_star, "rho": spec.rho, "seed": spec.seed,
                  "means": np.asarray(spec.means).tolist()},
     })
-    _manifest(f"{args.out}.manifest.json", args, started,
-              [csv_path, truth_path])
-    return 0
+    return f"{args.out}.manifest.json", [csv_path, truth_path], ()
 
 
 def _inner_config(args) -> KmeansConfig:
@@ -116,8 +117,7 @@ def _fit_payload(result, method, s) -> dict:
     }
 
 
-def cmd_cluster(args) -> int:
-    started = time.monotonic()
+def cmd_cluster(args):
     x = _load_input(args)
     inner = _inner_config(args)
     if args.method == "kmeans":
@@ -138,37 +138,23 @@ def cmd_cluster(args) -> int:
                                                      inner=inner))
     out = f"{args.out}.json"
     _write_json(out, _fit_payload(result, args.method, s))
-    _manifest(f"{args.out}.manifest.json", args, started, [out])
-    return 0
+    return f"{args.out}.manifest.json", [out], ()
 
 
-def _parse_grid(text):
-    """The --grid values, or None for gap_statistic's default grid."""
-    if text is None:
-        return None
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise UsageError(f"malformed grid {text!r}")
-    if not values:
-        raise UsageError("empty grid")
-    return np.asarray(values)
-
-
-def cmd_tune(args) -> int:
-    started = time.monotonic()
+def cmd_tune(args):
     x = _load_input(args)
     inner = _inner_config(args)
+    # without --grid, gap_statistic picks its default grid
+    grid = None if args.grid is None else \
+        _parse_list(args.grid, float, "--grid")
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
-        profile = gap_statistic(x, args.method, inner,
-                                grid=_parse_grid(args.grid),
+        profile = gap_statistic(x, args.method, inner, grid=grid,
                                 b=args.permutations, one_se=args.one_se,
                                 threads=_threads(args))
         caught = [str(w.message) for w in wlist]
     at = int(np.flatnonzero(profile.grid == profile.chosen_s)[0])
-    if not np.isnan(profile.gap[at]) and \
-            profile.gap[at] <= 2.0 * profile.se[at]:
+    if profile.gap[at] <= 2.0 * profile.se[at]:
         caught.append(f"gap profile is flat: best gap {profile.gap[at]:.4g} "
                       f"is within 2 standard errors of 0")
     csv_path = f"{args.out}.gap.csv"
@@ -184,11 +170,11 @@ def cmd_tune(args) -> int:
         _write_json(fit_path, _fit_payload(result, args.method,
                                            profile.chosen_s))
         outputs.append(fit_path)
-    _manifest(f"{args.out}.manifest.json", args, started, outputs, caught)
-    return 0
+    return f"{args.out}.manifest.json", outputs, caught
 
 
-def _load_json(path, required_keys):
+def _load_json(path, **dtypes):
+    """Each key named in dtypes, read from a JSON object as a 1-D array."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -198,21 +184,27 @@ def _load_json(path, required_keys):
         raise DataError(f"{path}: not {exc.encoding} text")
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}")
-    for key in required_keys:
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: not a JSON object")
+    arrays = {}
+    for key, dtype in dtypes.items():
         if key not in payload:
             raise DataError(f"{path}: missing key {key!r}")
-    return payload
+        try:
+            arrays[key] = np.asarray(payload[key], dtype=dtype)
+            if arrays[key].ndim != 1:
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            raise DataError(f"{path}: {key} is not a flat list of "
+                            f"{dtype.__name__} values")
+    return arrays
 
 
-def cmd_evaluate(args) -> int:
-    started = time.monotonic()
-    result = _load_json(args.result, ("assignments", "weights"))
-    truth = _load_json(args.truth, ("labels", "support"))
-    est = np.asarray(result["assignments"], dtype=int)
-    tru = np.asarray(truth["labels"], dtype=int)
-    w = np.asarray(result["weights"], dtype=float)
-    support = np.asarray(truth["support"], dtype=int)
-    counts = feature_counts(w, support)
+def cmd_evaluate(args):
+    result = _load_json(args.result, assignments=int, weights=float)
+    truth = _load_json(args.truth, labels=int, support=int)
+    est, tru = result["assignments"], truth["labels"]
+    counts = feature_counts(result["weights"], truth["support"])
     payload = {"cer": cer(est, tru), "ecr": ecr(est, tru),
                "nw": counts.nw, "pzw": counts.pzw, "pnw": counts.pnw}
     json_path = f"{args.out}.metrics.json"
@@ -220,9 +212,7 @@ def cmd_evaluate(args) -> int:
     _write_json(json_path, payload)
     write_csv_rows(csv_path, ("cer", "ecr", "nw", "pzw", "pnw"),
                    [(payload["cer"], payload["ecr"], *counts)])
-    _manifest(f"{args.out}.manifest.json", args, started,
-              [json_path, csv_path])
-    return 0
+    return f"{args.out}.manifest.json", [json_path, csv_path], ()
 
 
 def _experiment_cells(exp_id):
@@ -294,8 +284,10 @@ def _write_records_csv(path, records) -> None:
                    ([rec.get(name, "") for name in names] for rec in records))
 
 
-def cmd_experiment(args) -> int:
-    started = time.monotonic()
+def cmd_experiment(args):
+    if args.reps < 1:
+        raise UsageError(f"--reps {args.reps}: need at least 1 rep")
+    threads = _threads(args)
     os.makedirs(args.outdir, exist_ok=True)
     outputs = []
     agg_rows = []
@@ -303,7 +295,7 @@ def cmd_experiment(args) -> int:
     for cell_id, params in _experiment_cells(args.id):
         records = run_experiment_cell(cell_id, params, args.reps, args.seed,
                                       args.restarts, args.tune_restarts,
-                                      args.permutations, _threads(args))
+                                      args.permutations, threads)
         cell = _cell_name(cell_id, params)
         stem = cell.replace("(", "_").replace(")", "").replace(",", "_") \
             .replace("=", "")
@@ -325,16 +317,11 @@ def cmd_experiment(args) -> int:
     long_path = os.path.join(args.outdir, "long.csv")
     write_csv_rows(long_path, ("cell", "rep", "metric", "value"), long_rows)
     outputs.append(long_path)
-    _manifest(os.path.join(args.outdir, "manifest.json"), args, started,
-              outputs)
-    return 0
+    return os.path.join(args.outdir, "manifest.json"), outputs, ()
 
 
-def cmd_sweep(args) -> int:
-    started = time.monotonic()
-    n_list = [int(v) for v in args.n_list.split(",") if v.strip()]
-    if not n_list:
-        raise UsageError("empty --n-list")
+def cmd_sweep(args):
+    n_list = _parse_list(args.n_list, int, "--n-list")
     mu = args.mu if args.mu is not None else 0.7
     p = args.p if args.p is not None else 500
     p_star = args.p_star if args.p_star is not None else 50
@@ -346,9 +333,7 @@ def cmd_sweep(args) -> int:
     json_path = f"{args.out}.sweep.json"
     report.to_csv(csv_path)
     report.to_json(json_path)
-    _manifest(f"{args.out}.manifest.json", args, started,
-              [csv_path, json_path])
-    return 0
+    return f"{args.out}.manifest.json", [csv_path, json_path], ()
 
 
 def build_parser() -> _Parser:
@@ -357,70 +342,70 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def fit_inputs(sp, methods):
-        """The input, fit and output flags that cluster and tune share."""
-        sp.add_argument("--input", required=True)
-        sp.add_argument("--method", required=True, choices=methods)
-        sp.add_argument("--k", type=int, required=True)
-        sp.add_argument("--restarts", type=int, default=10)
-        sp.add_argument("--refine", choices=["none", "swap"], default="none")
-        sp.add_argument("--header", action="store_true")
-        sp.add_argument("--no-standardize", action="store_true")
-        sp.add_argument("--out", required=True)
-        sp.add_argument("--seed", type=int, default=0)
+    # flags shared by several commands, each declared once
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+    mu_p = argparse.ArgumentParser(add_help=False)
+    mu_p.add_argument("--mu", type=float, default=None)
+    mu_p.add_argument("--p", type=int, default=None)
+    fit_inputs = argparse.ArgumentParser(add_help=False)
+    fit_inputs.add_argument("--input", required=True)
+    fit_inputs.add_argument("--k", type=int, required=True)
+    fit_inputs.add_argument("--refine", choices=["none", "swap"],
+                            default="none")
+    fit_inputs.add_argument("--header", action="store_true")
+    fit_inputs.add_argument("--no-standardize", action="store_true")
+    gap = argparse.ArgumentParser(add_help=False)
+    gap.add_argument("--permutations", type=int, default=10)
+    gap.add_argument("--threads", type=int, default=None)
 
-    sp = sub.add_parser("generate", help="draw a synthetic benchmark dataset")
+    sp = sub.add_parser("generate", parents=[mu_p, out, seed],
+                        help="draw a synthetic benchmark dataset")
     sp.add_argument("--experiment", required=True,
                     choices=["E1", "E2", "E3a", "E3b", "E4"])
-    sp.add_argument("--mu", type=float, default=None)
-    sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--rho", type=float, default=None)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_generate)
 
-    sp = sub.add_parser("cluster", help="fit kmeans, l0, or l1 on a CSV")
-    fit_inputs(sp, ["kmeans", "l0", "l1"])
+    sp = sub.add_parser("cluster", parents=[fit_inputs, out, seed],
+                        help="fit kmeans, l0, or l1 on a CSV")
+    sp.add_argument("--method", required=True, choices=["kmeans", "l0", "l1"])
+    sp.add_argument("--restarts", type=int, default=10)
     sp.add_argument("--s", type=float, default=None)
     sp.set_defaults(func=cmd_cluster)
 
-    sp = sub.add_parser("tune", help="choose s by the gap statistic")
-    fit_inputs(sp, ["l0", "l1"])
+    sp = sub.add_parser("tune", parents=[fit_inputs, out, seed, gap],
+                        help="choose s by the gap statistic")
+    sp.add_argument("--method", required=True, choices=["l0", "l1"])
+    sp.add_argument("--restarts", type=int, default=10)
     sp.add_argument("--grid", default=None,
                     help="comma-separated s values (default: built-in grid)")
-    sp.add_argument("--permutations", type=int, default=10)
     sp.add_argument("--one-se", action="store_true")
     sp.add_argument("--fit", action="store_true",
                     help="also fit at the chosen s")
-    sp.add_argument("--threads", type=int, default=None)
     sp.set_defaults(func=cmd_tune)
 
-    sp = sub.add_parser("evaluate", help="score a result against its truth")
+    sp = sub.add_parser("evaluate", parents=[out],
+                        help="score a result against its truth")
     sp.add_argument("--result", required=True)
     sp.add_argument("--truth", required=True)
-    sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_evaluate)
 
-    sp = sub.add_parser("experiment",
+    sp = sub.add_parser("experiment", parents=[seed, gap],
                         help="run a full benchmark with all methods")
     sp.add_argument("--id", required=True, choices=["E1", "E2", "E3", "E4"])
     sp.add_argument("--reps", type=int, default=20)
     sp.add_argument("--restarts", type=int, default=20)
     sp.add_argument("--tune-restarts", type=int, default=5)
-    sp.add_argument("--permutations", type=int, default=10)
     sp.add_argument("--outdir", required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=None)
     sp.set_defaults(func=cmd_experiment)
 
-    sp = sub.add_parser("sweep", help="trial frequencies across n")
-    sp.add_argument("--mu", type=float, default=None)
-    sp.add_argument("--p", type=int, default=None)
+    sp = sub.add_parser("sweep", parents=[mu_p, out, seed],
+                        help="trial frequencies across n")
     sp.add_argument("--p-star", type=int, default=None)
     sp.add_argument("--n-list", default="30,60,120")
     sp.add_argument("--trials", type=int, default=50)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_sweep)
     return parser
 
@@ -428,7 +413,19 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        started = time.monotonic()
+        path, outputs, warnings_seen = args.func(args)
+        _write_json(path, {
+            "command": args.command,
+            "config": {k: v for k, v in sorted(vars(args).items())
+                       if k not in ("command", "func") and v is not None},
+            "seed": getattr(args, "seed", None),
+            "version": __version__,
+            "duration_s": round(time.monotonic() - started, 3),
+            "outputs": [str(o) for o in outputs],
+            "warnings": list(warnings_seen),
+        })
+        return 0
     except SparsekmError as exc:
         print(f"sparsekm: error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -1,11 +1,14 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparsekm
 from sparsekm import cli
 from sparsekm.cli import _write_records_csv, build_parser, main
 from sparsekm.data import write_csv_matrix
@@ -215,11 +218,12 @@ def test_tune_flat_gap_warning_on_noise(tmp_path):
 
 def test_tune_malformed_grid(tmp_path, capsys):
     noise = make_noise_csv(tmp_path)
-    code = main(["tune", "--input", str(noise), "--method", "l0",
-                 "--k", "3", "--grid", "2,banana",
-                 "--out", str(tmp_path / "x")])
-    assert code == 1
-    assert "grid" in capsys.readouterr().err
+    for grid in ("2,banana", ","):
+        code = main(["tune", "--input", str(noise), "--method", "l0",
+                     "--k", "3", "--grid", grid,
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "--grid" in capsys.readouterr().err
 
 
 def test_tune_thread_invariance_and_env(tmp_path, monkeypatch):
@@ -298,6 +302,28 @@ def test_evaluate_error_paths(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("replace, named", [
+    ({"weights": 5}, "weights is not"),
+    ({"assignments": "abcd"}, "assignments is not"),
+    ({"weights": ["x", 1]}, "weights is not"),
+    ({"weights": [[1.0], [0.0]]}, "weights is not"),
+    ({"assignments": {"a": 0}}, "assignments is not"),
+    (None, "not a JSON object"),
+], ids=["scalar", "string", "text-item", "nested", "object", "top-level"])
+def test_evaluate_malformed_values_are_data_errors(tmp_path, capsys, replace,
+                                                   named):
+    _, truth_path = make_signal_csv(tmp_path)
+    result = 5 if replace is None else \
+        {"assignments": [0] * 30, "weights": [1.0] * 25, **replace}
+    result_path = tmp_path / "res.json"
+    result_path.write_text(json.dumps(result))
+    assert main(["evaluate", "--result", str(result_path),
+                 "--truth", str(truth_path),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert f"{result_path}: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "x.manifest.json").exists()
+
+
 # ----------------------------------------------------------------- sweep
 
 def test_sweep_writes_report(tmp_path):
@@ -314,6 +340,12 @@ def test_sweep_writes_report(tmp_path):
                  "--out", str(tmp_path / "sw2")]) == 0
     assert (tmp_path / "sw.sweep.csv").read_bytes() == \
         (tmp_path / "sw2.sweep.csv").read_bytes()
+
+
+def test_sweep_malformed_n_list(tmp_path, capsys):
+    assert main(["sweep", "--n-list", "12,abc",
+                 "--out", str(tmp_path / "x")]) == 1
+    assert "--n-list" in capsys.readouterr().err
 
 
 def test_sweep_rejects_small_trials(tmp_path):
@@ -345,6 +377,18 @@ def test_experiment_e3_small(tmp_path):
     long_rows = (outdir / "long.csv").read_text().strip().splitlines()
     assert long_rows[0] == "cell,rep,metric,value"
     assert len(long_rows) > 10
+
+
+def test_experiment_rejects_zero_reps(tmp_path, monkeypatch, capsys):
+    def no_fit(*args):
+        raise AssertionError("fit ran")
+
+    monkeypatch.setattr(cli, "run_experiment_cell", no_fit)
+    outdir = tmp_path / "exp"
+    assert main(["experiment", "--id", "E3", "--reps", "0",
+                 "--outdir", str(outdir)]) == 1
+    assert "--reps 0" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_records_csv_bytes(tmp_path):
@@ -424,14 +468,37 @@ def test_generate_rejects_preset_params(tmp_path, capsys):
 
 # ------------------------------------------------------------- interface
 
+def package_env(**extra):
+    """The environment with this sparsekm's source directory importable."""
+    src = str(Path(sparsekm.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, **extra,
+            "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 def test_cli_entry_point_smoke():
     proc = subprocess.run([sys.executable, "-m", "sparsekm.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
     proc = subprocess.run([sys.executable, "-m", "sparsekm.cli"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=package_env())
     assert proc.returncode == 1
+
+
+def test_cli_demo_runs(tmp_path):
+    shim_dir = tmp_path / "bin"
+    shim_dir.mkdir()
+    shim = shim_dir / "sparsekm"
+    shim.write_text(
+        f'#!/bin/sh\nexec "{sys.executable}" -m sparsekm.cli "$@"\n')
+    shim.chmod(0o755)
+    demo = Path(__file__).resolve().parents[1] / "demos" / "05_cli_pipeline.sh"
+    env = package_env(TMPDIR=str(tmp_path),
+                      PATH=f"{shim_dir}{os.pathsep}{os.environ['PATH']}")
+    proc = subprocess.run(["sh", str(demo)], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -457,6 +524,84 @@ def test_threads_and_env_accepted_where_read(tmp_path, monkeypatch, command):
     assert main(argv) == 1
 
 
+@pytest.mark.parametrize("command", ["tune", "experiment"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_threads_below_one_is_usage_error(tmp_path, monkeypatch, capsys,
+                                          command, source):
+    if command == "tune":
+        argv = ["tune", "--input", str(make_noise_csv(tmp_path)),
+                "--method", "l0", "--k", "3", "--out", str(tmp_path / "t")]
+    else:
+        argv = ["experiment", "--id", "E3", "--reps", "1",
+                "--outdir", str(tmp_path / "e")]
+    if source == "flag":
+        argv += ["--threads", "0"]
+        named = "--threads 0"
+    else:
+        monkeypatch.setenv("SPARSEKM_THREADS", "0")
+        named = "SPARSEKM_THREADS='0'"
+    assert main(argv) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "t.manifest.json").exists()
+    assert not (tmp_path / "e").exists()
+
+
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 1
     capsys.readouterr()
+
+
+def test_every_manifest_pinned(tmp_path, monkeypatch):
+    # What each command's manifest records, minus duration_s. Relative
+    # paths keep the dicts literal; tune runs on noise so its flat-profile
+    # warning is pinned too.
+    monkeypatch.chdir(tmp_path)
+    write_csv_matrix("noise.csv",
+                     np.random.default_rng(60).normal(size=(30, 25)))
+    fit = {"header": False, "input": "gen.csv", "k": 3, "method": "l0",
+           "no_standardize": False, "refine": "none", "restarts": 2}
+    runs = [
+        (["generate", "--experiment", "E3a", "--seed", "4", "--out", "gen"],
+         "gen.manifest.json", "generate",
+         {"experiment": "E3a", "out": "gen", "seed": 4}, 4,
+         ["gen.csv", "gen.truth.json"], []),
+        (["cluster", "--input", "gen.csv", "--method", "l0", "--k", "3",
+          "--s", "3", "--restarts", "2", "--seed", "5", "--out", "fit"],
+         "fit.manifest.json", "cluster",
+         {**fit, "out": "fit", "s": 3.0, "seed": 5}, 5, ["fit.json"], []),
+        (["tune", "--input", "noise.csv", "--method", "l0", "--k", "3",
+          "--grid", "2,4", "--restarts", "2", "--permutations", "3",
+          "--seed", "6", "--fit", "--threads", "2", "--out", "tun"],
+         "tun.manifest.json", "tune",
+         {**fit, "input": "noise.csv", "fit": True, "grid": "2,4",
+          "one_se": False, "out": "tun", "permutations": 3, "seed": 6,
+          "threads": 2}, 6,
+         ["tun.gap.csv", "tun.chosen.json", "tun.fit.json"],
+         ["gap profile is flat: best gap 0.04554 is within 2 standard "
+          "errors of 0"]),
+        (["evaluate", "--result", "fit.json", "--truth", "gen.truth.json",
+          "--out", "ev"],
+         "ev.manifest.json", "evaluate",
+         {"out": "ev", "result": "fit.json", "truth": "gen.truth.json"},
+         None, ["ev.metrics.json", "ev.metrics.csv"], []),
+        (["sweep", "--mu", "1.5", "--p", "30", "--p-star", "5",
+          "--n-list", "12", "--trials", "20", "--seed", "8", "--out", "sw"],
+         "sw.manifest.json", "sweep",
+         {"mu": 1.5, "n_list": "12", "out": "sw", "p": 30, "p_star": 5,
+          "seed": 8, "trials": 20}, 8, ["sw.sweep.csv", "sw.sweep.json"],
+         []),
+        (["experiment", "--id", "E3", "--reps", "1", "--restarts", "2",
+          "--tune-restarts", "1", "--permutations", "2", "--seed", "7",
+          "--outdir", "exp"],
+         os.path.join("exp", "manifest.json"), "experiment",
+         {"id": "E3", "outdir": "exp", "permutations": 2, "reps": 1,
+          "restarts": 2, "seed": 7, "tune_restarts": 1}, 7,
+         [os.path.join("exp", name) for name in
+          ("E3a.reps.csv", "E3b.reps.csv", "aggregate.csv", "long.csv")],
+         []),
+    ]
+    for argv, path, command, config, seed, outputs, warned in runs:
+        assert main(argv) == 0, argv
+        assert manifest_without_duration(Path(path)) == {
+            "command": command, "config": config, "seed": seed,
+            "version": "0.1.0", "outputs": outputs, "warnings": warned}
