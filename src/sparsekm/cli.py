@@ -3,8 +3,9 @@
 Subcommands: generate, cluster, tune, evaluate, experiment, sweep.
 Structured results are JSON, tabular results CSV. Every command but
 evaluate takes --seed and is fully deterministic given it; tune and
-experiment take --threads (or the SPARSEKM_THREADS variable), which only
-changes wall time, never output bytes. Each cmd_* function writes its
+experiment take --threads (or the SPARSEKM_THREADS variable), the number of
+worker processes the gap table runs on, which only changes wall time,
+never output bytes or warnings. Each cmd_* function writes its
 outputs and returns (manifest path, outputs, warnings); main times the
 command and writes every manifest from that.
 Exit codes: 0 success, 1 usage, 2 data error, 3 numerical failure.
@@ -285,8 +286,12 @@ def _write_records_csv(path, records) -> None:
 
 
 def cmd_experiment(args):
-    if args.reps < 1:
-        raise UsageError(f"--reps {args.reps}: need at least 1 rep")
+    for flag, value, least in (("--reps", args.reps, 1),
+                               ("--permutations", args.permutations, 2),
+                               ("--restarts", args.restarts, 1),
+                               ("--tune-restarts", args.tune_restarts, 1)):
+        if value < least:
+            raise UsageError(f"{flag} {value}: need at least {least}")
     threads = _threads(args)
     os.makedirs(args.outdir, exist_ok=True)
     outputs = []

@@ -9,16 +9,19 @@ cluster structure). Then
     se(s)  = sd_t(log O_t(s)) * sqrt(1 + 1/b)
 
 and the chosen s maximizes the gap, ties to the smaller s. The cells of
-the (grid x permutation) table are independent and run on a pool of
-`threads` workers, even one; every cell draws from the RNG stream named
-by its indices, so results are identical at any thread count.
+the (grid x permutation) table are independent. With one worker they run
+inline, in this process; with more, on a pool of forked worker processes
+(POSIX fork), which inherit the matrices instead of receiving them pickled
+and send back each objective with the warnings its fit raised, re-emitted
+here in cell order. Every cell draws from the RNG stream named by its
+indices, so results and warnings are identical at any worker count.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -75,8 +78,61 @@ def _objective(m, s, method, inner, path) -> float:
     return sparse_kmeans(m, cfg, path=path).objective
 
 
+def _cell(table, job) -> float:
+    """The objective of cell (i, t): the real data at t = -1, else null t."""
+    m, nulls, grid, method, inner = table
+    i, t = job
+    if t < 0:
+        return _objective(m, grid[i], method, inner, (_REAL, i))
+    return _objective(nulls[t], grid[i], method, inner, (_NULL, i, t))
+
+
+_worker_table = None  # the table a forked pool worker was started with
+
+
+def _init_worker(*table) -> None:
+    global _worker_table
+    _worker_table = table
+
+
+def _worker_cell(job):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = _cell(_worker_table, job)
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+def _pool_map(table, jobs, workers):
+    """Objectives of jobs in order, from forked workers; their warnings are
+    re-emitted here in job order, as an inline run emits them.
+
+    fork: each worker inherits the table and the imported package, where
+    spawn or forkserver would import numpy afresh in every worker and send
+    it the table pickled. Imported here so that a one-worker run never
+    loads multiprocessing."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    values = []
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker,
+                             initargs=table) as pool:
+        try:
+            for value, caught in pool.map(_worker_cell, jobs):
+                for category, message in caught:
+                    warnings.warn(message, category)
+                values.append(value)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return values
+
+
 def gap_statistic(m, method: str, inner: KmeansConfig, grid=None, b: int = 10,
                   one_se: bool = False, threads: int = 1) -> GapProfile:
+    """The gap profile over grid; threads is the number of worker
+    processes the (grid x permutation) table runs on."""
     m = as_matrix(m)
     p = m.shape[1]
     if grid is None:
@@ -93,16 +149,13 @@ def gap_statistic(m, method: str, inner: KmeansConfig, grid=None, b: int = 10,
 
     nulls = [permute_columns(m, spawn_seed(inner.seed, _PERMUTE, t))
              for t in range(b)]
-    jobs = [(i, -1, m) for i in range(grid.size)]
-    jobs += [(i, t, nulls[t]) for i in range(grid.size) for t in range(b)]
-
-    def run(job):
-        i, t, data = job
-        path = (_REAL, i) if t < 0 else (_NULL, i, t)
-        return _objective(data, grid[i], method, inner, path)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        values = list(pool.map(run, jobs))
+    table = (m, nulls, grid, method, inner)
+    jobs = [(i, -1) for i in range(grid.size)]
+    jobs += [(i, t) for i in range(grid.size) for t in range(b)]
+    if threads == 1:
+        values = list(map(partial(_cell, table), jobs))
+    else:
+        values = _pool_map(table, jobs, min(threads, len(jobs)))
 
     objective = np.array(values[: grid.size])
     null_obj = np.array(values[grid.size:]).reshape(grid.size, b)

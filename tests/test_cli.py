@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import sparsekm
-from sparsekm import cli
+from sparsekm import cli, gap
 from sparsekm.cli import _write_records_csv, build_parser, main
 from sparsekm.data import write_csv_matrix
 from sparsekm.errors import (DataError, DegenerateData, NumericalError,
@@ -226,6 +227,43 @@ def test_tune_malformed_grid(tmp_path, capsys):
         assert "--grid" in capsys.readouterr().err
 
 
+def two_row_csv(tmp_path):
+    """12 x 4 with two distinct rows: every k=3 fit warns DegenerateData."""
+    path = tmp_path / "two_rows.csv"
+    write_csv_matrix(path, np.repeat([[0.0, 1.0, 2.0, 3.0],
+                                      [1.0, -1.0, 0.5, 2.0]], 6, axis=0))
+    return path
+
+
+def test_tune_warnings_same_at_any_worker_count(tmp_path):
+    args = ["tune", "--input", str(two_row_csv(tmp_path)), "--method", "l0",
+            "--k", "3", "--grid", "2,3", "--permutations", "2",
+            "--restarts", "2", "--seed", "1", "--no-standardize"]
+    warned = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"w{threads}"
+        assert main(args + ["--threads", threads, "--out", str(out)]) == 0
+        warned.append(manifest_without_duration(
+            Path(f"{out}.manifest.json"))["warnings"])
+    assert any("distinct rows" in w for w in warned[0])
+    assert warned[0] == warned[1]
+
+
+def test_tune_pool_error_is_numerical_error(tmp_path, monkeypatch, capsys):
+    def fail_one_cell(m, s, method, inner, path):
+        if path == (gap._NULL, 1, 0):
+            raise NumericalError("cell (1, 0) broke down")
+        return 2.0
+
+    monkeypatch.setattr(gap, "_objective", fail_one_cell)
+    assert main(["tune", "--input", str(make_noise_csv(tmp_path)),
+                 "--method", "l0", "--k", "3", "--grid", "2,3",
+                 "--permutations", "2", "--threads", "2",
+                 "--out", str(tmp_path / "t")]) == 3
+    assert "cell (1, 0) broke down" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
 def test_tune_thread_invariance_and_env(tmp_path, monkeypatch):
     csv_path, _ = make_signal_csv(tmp_path)
     args = ["tune", "--input", str(csv_path), "--method", "l0", "--k", "3",
@@ -379,15 +417,20 @@ def test_experiment_e3_small(tmp_path):
     assert len(long_rows) > 10
 
 
-def test_experiment_rejects_zero_reps(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("flag, value", [("--reps", "0"),
+                                         ("--permutations", "1"),
+                                         ("--restarts", "0"),
+                                         ("--tune-restarts", "0")])
+def test_experiment_rejects_small_counts(tmp_path, monkeypatch, capsys, flag,
+                                         value):
     def no_fit(*args):
         raise AssertionError("fit ran")
 
     monkeypatch.setattr(cli, "run_experiment_cell", no_fit)
     outdir = tmp_path / "exp"
-    assert main(["experiment", "--id", "E3", "--reps", "0",
+    assert main(["experiment", "--id", "E3", flag, value,
                  "--outdir", str(outdir)]) == 1
-    assert "--reps 0" in capsys.readouterr().err
+    assert f"{flag} {value}" in capsys.readouterr().err
     assert not outdir.exists()
 
 
@@ -484,6 +527,16 @@ def test_cli_entry_point_smoke():
     proc = subprocess.run([sys.executable, "-m", "sparsekm.cli"],
                           capture_output=True, text=True, env=package_env())
     assert proc.returncode == 1
+
+
+def test_cli_import_defers_multiprocessing():
+    # the process pool is imported only when a gap table runs on it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sparsekm.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_demo_runs(tmp_path):

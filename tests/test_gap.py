@@ -1,12 +1,15 @@
+import concurrent.futures
 import itertools
+import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
 
 import sparsekm.gap as gap_mod
 from sparsekm._rng import spawn_seed
-from sparsekm.errors import (NonPositiveObjective, NumericalError,
-                             SparsityOutOfRange, UsageError)
+from sparsekm.errors import (DegenerateData, NonPositiveObjective,
+                             NumericalError, SparsityOutOfRange, UsageError)
 from sparsekm.gap import (GapProfile, default_grid, gap_statistic,
                           permute_columns)
 from sparsekm.kmeans import KmeansConfig
@@ -176,6 +179,77 @@ def test_gap_deterministic_and_thread_invariant():
         assert a.chosen_s == other.chosen_s
     assert a.chosen_s in grid
     assert a.gap.shape == a.se.shape == a.objective.shape == grid.shape
+
+
+# ------------------------------------------------------- the process pool
+
+def two_row_matrix():
+    """12 x 4 with two distinct rows: every k=3 fit warns DegenerateData."""
+    return np.repeat([[0.0, 1.0, 2.0, 3.0], [1.0, -1.0, 0.5, 2.0]], 6,
+                     axis=0)
+
+
+def recorded_warnings(threads):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        prof = gap_statistic(two_row_matrix(), "l0", cfg(seed=1), b=2,
+                             grid=np.array([2.0, 3.0]), threads=threads)
+    return prof, [(w.category, str(w.message)) for w in caught]
+
+
+def test_pool_workers_capped_at_job_count(monkeypatch):
+    class RecordingPool:
+        """Runs the jobs in this process; records the requested size."""
+        sizes = []
+
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            self.sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(gap_mod, "_worker_table", None)
+    monkeypatch.setattr(gap_mod, "_objective",
+                        lambda m, s, method, inner, path: 2.0 + s)
+    prof = gap_statistic(two_row_matrix(), "l0", cfg(), b=2,
+                         grid=np.array([2.0, 3.0]), threads=10_000)
+    assert RecordingPool.sizes == [6]           # 2 grid points x (b + 1)
+    assert prof.objective.tolist() == [4.0, 5.0]
+
+
+def test_pool_warnings_cross_process():
+    serial, inline = recorded_warnings(threads=1)
+    pooled, forked = recorded_warnings(threads=2)
+    assert inline
+    assert {category for category, _ in inline} == {DegenerateData}
+    assert forked == inline
+    assert np.array_equal(serial.objective, pooled.objective)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_errors_cross_process(monkeypatch):
+    def fail_one_cell(m, s, method, inner, path):
+        if path == (gap_mod._NULL, 1, 0):
+            raise NumericalError("cell (1, 0) broke down")
+        return 2.0
+
+    monkeypatch.setattr(gap_mod, "_objective", fail_one_cell)
+    with pytest.raises(NumericalError, match=r"cell \(1, 0\)"):
+        gap_statistic(two_row_matrix(), "l0", cfg(), b=2,
+                      grid=np.array([2.0, 3.0]), threads=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_gap_near_zero_on_pure_noise():
