@@ -71,14 +71,20 @@ def standardize(m, *, allow_constant: bool = False) -> np.ndarray:
 def cluster_stats(m, labels, k: int):
     """Per-cluster row counts and column sums of m, for labels in [0, k).
 
-    Each sum adds its cluster's rows in row order. One column goes through
-    np.bincount, because numpy sums a contiguous column pairwise instead."""
+    Each sum adds its cluster's rows in row order: a stable argsort of the
+    labels and one row gather put every cluster in a contiguous C-ordered
+    block, kept in row order, and numpy sums such a block one row after
+    the other. One column goes through np.bincount, because numpy sums a
+    contiguous column pairwise instead."""
     counts = np.bincount(labels, minlength=k)
     if m.shape[1] == 1:
         return counts, np.bincount(labels, weights=m[:, 0], minlength=k)[:, None]
-    sums = np.zeros((k, m.shape[1]))
-    for c in range(k):
-        sums[c] = m[labels == c].sum(axis=0)
+    rows = m[np.argsort(labels, kind="stable")]
+    sums = np.empty((k, m.shape[1]))
+    start = 0
+    for c, end in enumerate(np.cumsum(counts).tolist()):
+        sums[c] = rows[start:end].sum(axis=0)
+        start = end
     return counts, sums
 
 

@@ -29,6 +29,15 @@ _best_fit is the one fit loop, from the start lloyd_weighted gives or
 from each k-means++ restart of run_kmeans: Lloyd, the optional swap stage,
 then the WCSS of the final labels. All per-cluster counts and sums come
 from data.cluster_stats.
+
+The fit path is bound by per-call overhead at the sizes the gap table runs
+(tens of rows, thousands of fits), so nothing in it is computed twice:
+_best_fit forms the total sum of squares once, Lloyd forms the row norms
+once per call and the centre norms once per iteration, and Lloyd returns
+the WCSS of the labels it returns, which a plain fit keeps. The k-means++
+draw is the inverse-CDF step numpy's Generator.choice takes, made without
+its argument checks. Every one of these gives the same bits as the longer
+path.
 """
 
 from __future__ import annotations
@@ -88,6 +97,15 @@ def _check_weights(w, p: int) -> np.ndarray:
     return w
 
 
+def _pp_draw(d2: np.ndarray, total: float, rng: np.random.Generator) -> int:
+    """The index rng.choice(d2.size, p=d2 / total) draws, from the same
+    stream: Generator.choice inverts the normalised CDF at one uniform.
+    Calling it costs three times as much, mostly in checks of p."""
+    cdf = (d2 / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _pp_indices(Y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ row selection on a pre-scaled matrix."""
     n = Y.shape[0]
@@ -103,7 +121,7 @@ def _pp_indices(Y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
             remaining = np.setdiff1d(np.arange(n), idx[:j])
             idx[j:] = rng.choice(remaining, size=k - j, replace=False)
             break
-        idx[j] = int(rng.choice(n, p=d2 / total))
+        idx[j] = _pp_draw(d2, total, rng)
         d2 = np.minimum(d2, ((Y - Y[idx[j]]) ** 2).sum(axis=1))
     return idx
 
@@ -123,23 +141,30 @@ def kmeans_pp_init(m, w, k: int, seed: int) -> np.ndarray:
     return m[idx]
 
 
-def _assign(Y, centers):
-    d = ((Y**2).sum(axis=1)[:, None] - 2.0 * (Y @ centers.T)
-         + (centers**2).sum(axis=1)[None, :])
+def _assign(Y, centers, row_sq, center_sq):
+    """Nearest centre of every row, given the squared row norms of Y and of
+    centers."""
+    d = row_sq[:, None] - 2.0 * (Y @ centers.T) + center_sq[None, :]
     return np.argmin(d, axis=1), d
 
 
-def _lloyd_core(Y: np.ndarray, centers: np.ndarray, max_iters: int):
-    """Plain Lloyd on a pre-scaled matrix. Returns labels, iterations used,
-    and the number of empty-cluster repairs."""
+def _lloyd_core(Y: np.ndarray, centers: np.ndarray, max_iters: int,
+                sq: float):
+    """Plain Lloyd on a pre-scaled matrix whose squared entries sum to sq.
+
+    Returns labels, their classical WCSS, iterations used and the number of
+    empty-cluster repairs. The row norms are formed once per call and the
+    centre norms once per iteration, where they serve both the WCSS and the
+    next assignment."""
     n, _ = Y.shape
     k = centers.shape[0]
-    sq = (Y**2).sum()
+    row_sq = (Y**2).sum(axis=1)
+    center_sq = (centers**2).sum(axis=1)
     prev_labels = None
     prev_wcss = np.inf
     repairs = 0
     for it in range(1, max_iters + 1):
-        new_labels, d = _assign(Y, centers)
+        new_labels, d = _assign(Y, centers, row_sq, center_sq)
         counts = np.bincount(new_labels, minlength=k)
         while (counts == 0).any():
             empty = int(np.flatnonzero(counts == 0)[0])
@@ -155,7 +180,8 @@ def _lloyd_core(Y: np.ndarray, centers: np.ndarray, max_iters: int):
             break
         _, sums = cluster_stats(Y, new_labels, k)
         centers = sums / counts[:, None]
-        wcss = float(sq - counts @ (centers**2).sum(axis=1))
+        center_sq = (centers**2).sum(axis=1)
+        wcss = float(sq - counts @ center_sq)
         labels = new_labels
         iters = it
         if wcss > prev_wcss + 1e-7 * (1.0 + abs(prev_wcss)):
@@ -164,7 +190,7 @@ def _lloyd_core(Y: np.ndarray, centers: np.ndarray, max_iters: int):
             break
         prev_labels = new_labels
         prev_wcss = wcss
-    return labels, iters, repairs
+    return labels, wcss, iters, repairs
 
 
 def _distances(Y: np.ndarray, mu: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -252,15 +278,18 @@ def _swap_refine(Y: np.ndarray, labels: np.ndarray, k: int):
 def _best_fit(m, Y, starts, cfg: KmeansConfig) -> KmeansResult:
     """Fit from every start on Y (m pre-scaled); the lowest classical WCSS
     wins, the first on ties. No cluster is empty: Lloyd repairs empty ones
-    and swap never empties one."""
+    and swap never empties one. A plain fit keeps the WCSS Lloyd returns;
+    after swap it is recomputed from the final labels."""
+    sq = (Y**2).sum()
     best = None
     for r, centers in enumerate(starts):
-        labels, iters, repairs = _lloyd_core(Y, centers, cfg.max_iters)
+        labels, wcss, iters, repairs = _lloyd_core(Y, centers, cfg.max_iters,
+                                                   sq)
         if cfg.refine == "swap":
             labels = _swap_refine(Y, labels, cfg.k)
-        counts, sums = cluster_stats(Y, labels, cfg.k)
-        mu = sums / counts[:, None]
-        wcss = float((Y**2).sum() - counts @ (mu**2).sum(axis=1))
+            counts, sums = cluster_stats(Y, labels, cfg.k)
+            mu = sums / counts[:, None]
+            wcss = float(sq - counts @ (mu**2).sum(axis=1))
         if best is None or wcss < best[1]:
             best = (labels, wcss, iters, r, repairs)
     labels, wcss, iters, r, repairs = best
@@ -275,12 +304,13 @@ def lloyd_weighted(m, w, init_centroids, cfg: KmeansConfig) -> KmeansResult:
     m = as_matrix(m)
     cfg.validated(m.shape[0])
     w = _check_weights(w, m.shape[1])
+    init = np.asarray(init_centroids, dtype=float)
+    if init.shape != (cfg.k, m.shape[1]):
+        raise DataError(f"init_centroids must have shape ({cfg.k}, "
+                        f"{m.shape[1]}), got {init.shape}")
     root = np.sqrt(w)
     Y = m * root
-    centers = np.asarray(init_centroids, dtype=float) * root
-    if centers.shape[1] != m.shape[1]:
-        raise DataError("init centroids and data disagree on p")
-    return _best_fit(m, Y, [centers], cfg)
+    return _best_fit(m, Y, [init * root], cfg)
 
 
 def run_kmeans(m, w, cfg: KmeansConfig, path: tuple = ()) -> KmeansResult:

@@ -178,6 +178,22 @@ class TestClusterStats:
             assert np.array_equal(counts, ref_counts)
             assert np.array_equal(sums, ref_sums)
 
+    @pytest.mark.parametrize("p", [1, 2, 7, 300])
+    def test_column_subsets_match_add_at_exactly(self, p):
+        """sparse_kmeans passes m[:, active], an F-ordered copy; a strided
+        slice is a view whose rows are not contiguous."""
+        rng = rng_for(33, p)
+        x = rng.standard_normal((257, 3 * p)) * 10.0 ** rng.uniform(
+            -3, 3, (257, 3 * p))
+        active = np.sort(rng.choice(3 * p, size=p, replace=False))
+        for sub in (x[:, active], x[::2, ::3]):
+            for k in (1, 3, 8):
+                labels = rng.integers(0, k, size=sub.shape[0])
+                counts, sums = cluster_stats(sub, labels, k)
+                ref_counts, ref_sums = self.reference(sub, labels, k)
+                assert np.array_equal(counts, ref_counts)
+                assert np.array_equal(sums, ref_sums)
+
     @pytest.mark.parametrize("p", [1, 4])
     def test_empty_cluster_has_zero_sums(self, p):
         x = rng_for(32).standard_normal((9, p))

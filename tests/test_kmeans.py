@@ -5,7 +5,8 @@ import pytest
 
 from sparsekm import kmeans
 from sparsekm.data import cluster_stats, weighted_wcss
-from sparsekm.errors import AllZeroWeights, DataError, DegenerateData
+from sparsekm.errors import (AllZeroWeights, DataError, DegenerateData,
+                             NumericalError)
 from sparsekm.kmeans import (KmeansConfig, kmeans_pp_init, lloyd_weighted,
                              run_kmeans)
 
@@ -358,3 +359,197 @@ def test_distances_match_single_point_sums(p):
                     for mu in mus], axis=1)
     want = np.stack([((Y[i] - mus) ** 2).sum(axis=1) for i in range(200)])
     assert np.array_equal(got, want)
+
+
+def test_lloyd_rejects_bad_init_shape():
+    m = np.random.default_rng(22).normal(size=(20, 4))
+    cfg = KmeansConfig(k=3)
+    for init in (m[:4], m[:2], m[0]):
+        with pytest.raises(DataError, match=rf"\(3, 4\).*{init.shape}"):
+            lloyd_weighted(m, np.ones(4), init, cfg)
+
+
+# ------------------------------------------------ reference fit path
+# The fit path written plainly: norms formed at every use, the WCSS of the
+# winning labels recomputed after Lloyd, cluster sums over boolean masks and
+# the k-means++ draw through Generator.choice. run_kmeans and
+# lloyd_weighted must give the same bits.
+
+def cluster_stats_reference(m, labels, k):
+    counts = np.bincount(labels, minlength=k)
+    if m.shape[1] == 1:
+        return counts, np.bincount(labels, weights=m[:, 0], minlength=k)[:, None]
+    sums = np.zeros((k, m.shape[1]))
+    for c in range(k):
+        sums[c] = m[labels == c].sum(axis=0)
+    return counts, sums
+
+
+def assign_reference(Y, centers):
+    d = ((Y**2).sum(axis=1)[:, None] - 2.0 * (Y @ centers.T)
+         + (centers**2).sum(axis=1)[None, :])
+    return np.argmin(d, axis=1), d
+
+
+def lloyd_reference(Y, centers, max_iters):
+    n, _ = Y.shape
+    k = centers.shape[0]
+    sq = (Y**2).sum()
+    prev_labels = None
+    prev_wcss = np.inf
+    repairs = 0
+    for it in range(1, max_iters + 1):
+        new_labels, d = assign_reference(Y, centers)
+        counts = np.bincount(new_labels, minlength=k)
+        while (counts == 0).any():
+            empty = int(np.flatnonzero(counts == 0)[0])
+            dist_own = d[np.arange(n), new_labels]
+            movable = counts[new_labels] >= 2
+            donor = int(np.argmax(np.where(movable, dist_own, -np.inf)))
+            counts[new_labels[donor]] -= 1
+            new_labels[donor] = empty
+            counts[empty] = 1
+            repairs += 1
+        if prev_labels is not None and np.array_equal(new_labels, prev_labels):
+            iters = it - 1
+            break
+        _, sums = cluster_stats_reference(Y, new_labels, k)
+        centers = sums / counts[:, None]
+        wcss = float(sq - counts @ (centers**2).sum(axis=1))
+        labels = new_labels
+        iters = it
+        if wcss > prev_wcss + 1e-7 * (1.0 + abs(prev_wcss)):
+            raise NumericalError("WCSS increased across a Lloyd iteration")
+        if prev_wcss - wcss < kmeans.LLOYD_TOL * max(1.0, abs(prev_wcss)):
+            break
+        prev_labels = new_labels
+        prev_wcss = wcss
+    return labels, iters, repairs
+
+
+def pp_reference(Y, k, rng):
+    n = Y.shape[0]
+    idx = np.empty(k, dtype=int)
+    idx[0] = int(rng.integers(n))
+    d2 = ((Y - Y[idx[0]]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            remaining = np.setdiff1d(np.arange(n), idx[:j])
+            idx[j:] = rng.choice(remaining, size=k - j, replace=False)
+            break
+        idx[j] = int(rng.choice(n, p=d2 / total))
+        d2 = np.minimum(d2, ((Y - Y[idx[j]]) ** 2).sum(axis=1))
+    return idx
+
+
+def best_fit_reference(m, Y, starts, cfg):
+    best = None
+    for r, centers in enumerate(starts):
+        labels, iters, repairs = lloyd_reference(Y, centers, cfg.max_iters)
+        if cfg.refine == "swap":
+            labels = kmeans._swap_refine(Y, labels, cfg.k)
+        counts, sums = cluster_stats_reference(Y, labels, cfg.k)
+        mu = sums / counts[:, None]
+        wcss = float((Y**2).sum() - counts @ (mu**2).sum(axis=1))
+        if best is None or wcss < best[1]:
+            best = (labels, wcss, iters, r, repairs)
+    labels, wcss, iters, r, repairs = best
+    counts, sums = cluster_stats_reference(m, labels, cfg.k)
+    return kmeans.KmeansResult(labels=labels, centroids=sums / counts[:, None],
+                               wcss=2.0 * max(wcss, 0.0), iters_used=iters,
+                               restart_index=r, repairs=repairs)
+
+
+def assert_same_fit(got, want):
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.centroids, want.centroids)
+    assert got.wcss == want.wcss
+    assert got.iters_used == want.iters_used
+    assert got.restart_index == want.restart_index
+    assert got.repairs == want.repairs
+
+
+def fit_panel(seed):
+    """Seeded (m, w, k) inputs: C- and F-ordered matrices and fancy-indexed
+    column subsets (what sparse_kmeans passes), p in {1, 2, 9, 300}, k up
+    to 8, duplicated rows, magnitudes spread over four decades."""
+    rng = np.random.default_rng(seed)
+    for p in (1, 2, 9, 300):
+        for layout in ("C", "F", "subset"):
+            for n, k in ((9, 2), (30, 3), (60, 8)):
+                width = 2 * p if layout == "subset" else p
+                m = rng.normal(size=(n, width)) * 10.0 ** rng.uniform(
+                    -2, 2, size=width)
+                m[n // 2] = m[0]
+                if layout == "F":
+                    m = np.asfortranarray(m)
+                elif layout == "subset":
+                    m = np.asfortranarray(m)[:, np.sort(
+                        rng.choice(width, size=p, replace=False))]
+                yield m, rng.uniform(0.1, 2.0, size=p), k
+
+
+def test_fit_path_matches_reference():
+    capped = repaired = 0
+    for m, w, k in fit_panel(23):
+        Y = m * np.sqrt(w)
+        for max_iters in (1, 100):
+            for refine in kmeans.REFINE_MODES:
+                cfg = KmeansConfig(k=k, restarts=3, seed=k, max_iters=max_iters,
+                                   refine=refine)
+                want = best_fit_reference(
+                    m, Y, [Y[pp_reference(Y, k, kmeans.rng_for(cfg.seed, r))]
+                           for r in range(cfg.restarts)], cfg)
+                assert_same_fit(run_kmeans(m, w, cfg), want)
+                # a start with k - 1 centres far off empties clusters
+                init = m[:k].copy()
+                init[1:] += 1e3 * np.abs(m).max()
+                want = best_fit_reference(m, Y, [init * np.sqrt(w)], cfg)
+                got = lloyd_weighted(m, w, init, cfg)
+                assert_same_fit(got, want)
+                repaired += got.repairs > 0
+                capped += max_iters == 1 and got.iters_used == 1
+    assert repaired >= 20 and capped >= 10
+
+
+def test_lloyd_returns_wcss_of_its_labels():
+    for m, w, k in fit_panel(24):
+        Y = m * np.sqrt(w)
+        sq = (Y**2).sum()
+        for r in range(3):
+            start = Y[kmeans._pp_indices(Y, k, kmeans.rng_for(r))]
+            for max_iters in (1, 2, 100):
+                labels, wcss, _, _ = kmeans._lloyd_core(Y, start, max_iters, sq)
+                counts, sums = cluster_stats(Y, labels, k)
+                mu = sums / counts[:, None]
+                assert wcss == float(sq - counts @ (mu**2).sum(axis=1))
+
+
+def test_pp_draw_matches_generator_choice():
+    """_pp_draw must make the draw Generator.choice makes; a numpy release
+    that changes how choice samples fails here."""
+    rng = np.random.default_rng(25)
+    kinds = 0
+    for n in (2, 7, 60, 1000):
+        zeros = rng.uniform(size=n)
+        zeros[rng.permutation(n)[: n // 2]] = 0.0
+        dominant = rng.uniform(size=n)
+        dominant[n // 3] = 1e12
+        uniform = 1.0 + 1e-9 * rng.uniform(size=n)
+        for d2 in (zeros, dominant, uniform):
+            total = float(d2.sum())
+            for stream in range(100):
+                want = int(kmeans.rng_for(26, n, kinds, stream).choice(
+                    n, p=d2 / total))
+                got = kmeans._pp_draw(d2, total,
+                                      kmeans.rng_for(26, n, kinds, stream))
+                assert got == want
+                assert d2[got] > 0.0
+            kinds += 1
+    # and the whole seeding, duplicate rows included
+    for m, w, k in fit_panel(27):
+        Y = m * np.sqrt(w)
+        for r in range(5):
+            assert np.array_equal(kmeans._pp_indices(Y, k, kmeans.rng_for(r)),
+                                  pp_reference(Y, k, kmeans.rng_for(r)))
