@@ -45,6 +45,8 @@ def check_labels(labels, k: int, n: int) -> np.ndarray:
     lab = np.asarray(labels, dtype=int)
     if lab.shape != (n,):
         raise LengthMismatch(f"expected {n} labels, got shape {lab.shape}")
+    if n == 0:
+        raise DataError("no rows to partition: the matrix has 0 rows")
     if lab.min() < 0 or lab.max() >= k:
         raise DataError(f"labels must lie in [0, {k})")
     return lab

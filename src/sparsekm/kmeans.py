@@ -15,15 +15,18 @@ alone stalls in shallow local minima when clusters overlap in many
 dimensions; the sweeps recover the deeper optima at small extra cost, and
 benchmarks enable them.
 
-The sweeps are not a Python loop over points. _swap_refine keeps a k x n
-table of squared point-to-centroid distances and, from a cursor, tests
-every remaining point at once; it applies the first improving move,
-recomputes only the two table rows of the clusters it changed, and
-continues after the moved point. That makes the same decisions in the same
-order as visiting one point at a time, so labels are identical bit for
-bit. Each row is formed in a C-ordered buffer, so numpy sums every
-distance pairwise over contiguous memory, as it does for a single point,
-whatever the memory order of the input.
+The sweeps are a Python loop over points that decides each move on Python
+floats. At the sizes the sweeps run (tens of points, a few clusters) a
+decision costs a handful of float operations, far less than the fixed
+cost of the numpy calls that would vectorise it over points. The O(p)
+work stays in numpy: _swap_refine keeps a k x n table of squared
+point-to-centroid distances, and after a move it updates the two cluster
+sums and recomputes only the two table rows of the clusters it changed.
+Python floats are IEEE binary64 like numpy's, so the factors, costs and
+comparisons, and hence the labels, are the same bit for bit as a
+point-by-point numpy loop's. Each row is formed in a C-ordered buffer, so
+numpy sums every distance pairwise over contiguous memory, as it does for
+a single point, whatever the memory order of the input.
 
 _best_fit is the one fit loop, from the start lloyd_weighted gives or
 from each k-means++ restart of run_kmeans: Lloyd, the optional swap stage,
@@ -134,8 +137,8 @@ def kmeans_pp_init(m, w, k: int, seed: int) -> np.ndarray:
     """
     m = as_matrix(m)
     w = _check_weights(w, m.shape[1])
-    if k > m.shape[0]:
-        raise DataError(f"k={k} exceeds n={m.shape[0]}")
+    if not 1 <= k <= m.shape[0]:
+        raise DataError(f"k={k} must lie in [1, n={m.shape[0]}]")
     Y = m * np.sqrt(w)
     idx = _pp_indices(Y, k, rng_for(seed, 0))
     return m[idx]
@@ -217,62 +220,66 @@ def _swap_refine(Y: np.ndarray, labels: np.ndarray, k: int):
     point alone in its cluster stays, ties go to the lowest b, and a pass
     without a move (or MAX_SWAP_SWEEPS passes) ends the refinement.
 
-    The scan is event-driven over the k x n table d2[c, i] = d(i, mu_c)^2.
-    From a cursor, the gain and best cost of every remaining point are
-    formed at once; the first point whose move improves is moved and the
-    cursor continues after it. The points passed over saw the state a
-    point-by-point loop would have shown them, so the moves, and the
-    labels, are the same bit for bit. A move changes only mu_a and mu_b,
-    so only d2[a] and d2[b] are recomputed, and only from the cursor on:
-    the part before it is not read again until the next pass, which
-    recomputes it first (stale[c] marks where d2[c] becomes current).
+    The decision for each point is made on Python floats, read from the
+    k x n table d2[c][i] = d(i, mu_c)^2 held as k lists; at tens of points
+    and a few clusters, numpy's per-call cost would dominate it. A move
+    changes only mu_a and mu_b, so numpy updates sums[a] and sums[b] and
+    recomputes only d2[a] and d2[b], and only from the next point on: the
+    part before it is not read again until the next pass, which recomputes
+    it first (stale[c] marks where d2[c] becomes current). Python floats
+    are IEEE binary64, as numpy's are, so every factor, product and
+    comparison has the bits numpy would give, and the labels are those of a
+    point-by-point numpy loop.
     """
     n, p = Y.shape
     Y = np.ascontiguousarray(Y)   # contiguous rows read faster in _distances
-    labels = labels.copy()
     counts, sums = cluster_stats(Y, labels, k)
-    counts = counts.astype(float)
+    counts = counts.astype(float).tolist()
+    # A keep factor of 0 pins a point alone in its cluster: no cost (>= 0)
+    # falls below a gain of 0 minus the margin.
+    keep = [c / (c - 1.0) if c > 1.0 else 0.0 for c in counts]
+    ins = [c / (c + 1.0) for c in counts]
+    others = [[c for c in range(k) if c != a] for a in range(k)]
+    lab = labels.tolist()
     buf = np.empty((n, p))
-    d2 = np.empty((k, n))
-    stale = np.full(k, n)
+    d2 = [[0.0] * n for _ in range(k)]
+    stale = [n] * k
     for _ in range(MAX_SWAP_SWEEPS):
-        for c in np.flatnonzero(stale):
-            end = stale[c]
-            d2[c, :end] = _distances(Y[:end], sums[c] / counts[c], buf[:end])
-        stale[:] = 0
+        for c in range(k):
+            if stale[c]:
+                end = stale[c]
+                d2[c][:end] = _distances(Y[:end], sums[c] / counts[c],
+                                         buf[:end]).tolist()
+                stale[c] = 0
         moved = False
-        start = 0
-        while start < n:
-            # A keep factor of 0 pins a point alone in its cluster: no cost
-            # (>= 0) falls below a gain of 0 minus the margin.
-            keep = np.divide(counts, counts - 1.0, out=np.zeros(k),
-                             where=counts > 1.0)
-            own = labels[start:]
-            cols = np.arange(n - start)
-            gain = keep[own] * d2[own, cols + start]
-            cost = (counts / (counts + 1.0))[:, None] * d2[:, start:]
-            cost[own, cols] = np.inf
-            best = cost.argmin(axis=0)
-            improves = cost[best, cols] < gain - 1e-12
-            j = int(improves.argmax())
-            if not improves[j]:
-                break
-            i = start + j
-            a, b = labels[i], best[j]
-            sums[a] -= Y[i]
+        for i in range(n):
+            a = lab[i]
+            gain = keep[a] * d2[a][i] - 1e-12
+            cost = np.inf
+            for c in others[a]:
+                x = ins[c] * d2[c][i]
+                if x < cost:
+                    cost, b = x, c
+            if not cost < gain:
+                continue
+            y = Y[i]
+            sums[a] -= y
+            sums[b] += y
             counts[a] -= 1.0
-            sums[b] += Y[i]
             counts[b] += 1.0
-            labels[i] = b
+            lab[i] = b
             start = i + 1
             for c in (a, b):
-                d2[c, start:] = _distances(Y[start:], sums[c] / counts[c],
-                                           buf[start:])
+                n_c = counts[c]
+                keep[c] = n_c / (n_c - 1.0) if n_c > 1.0 else 0.0
+                ins[c] = n_c / (n_c + 1.0)
+                d2[c][start:] = _distances(Y[start:], sums[c] / n_c,
+                                           buf[start:]).tolist()
                 stale[c] = start
             moved = True
         if not moved:
             break
-    return labels
+    return np.array(lab, dtype=labels.dtype)
 
 
 def _best_fit(m, Y, starts, cfg: KmeansConfig) -> KmeansResult:

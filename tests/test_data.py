@@ -274,3 +274,13 @@ def test_as_matrix_shape_checks():
 def test_ss_helpers_reject_non_2d(fn, args):
     with pytest.raises(DataError, match=r"2-dimensional, got shape \(4,\)"):
         fn(np.ones(4), *args)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (bcss_per_feature, ([], 2)),
+    (between_group_ss, ([], 2)),
+    (weighted_wcss, ([], np.ones(3), 2)),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_ss_helpers_reject_zero_rows(fn, args):
+    with pytest.raises(DataError, match="0 rows"):
+        fn(np.empty((0, 3)), *args)

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsekm import kmeans
 from sparsekm.data import cluster_stats, weighted_wcss
@@ -86,8 +87,9 @@ def test_pp_init_rejects_bad_inputs():
     m = np.zeros((4, 2))
     with pytest.raises(AllZeroWeights):
         kmeans_pp_init(m, np.zeros(2), 2, seed=0)
-    with pytest.raises(DataError):
-        kmeans_pp_init(m, np.ones(2), 5, seed=0)
+    for k in (0, -1, 5):
+        with pytest.raises(DataError, match=rf"k={k} must lie in \[1, n=4\]"):
+            kmeans_pp_init(m, np.ones(2), k, seed=1)
 
 
 # ------------------------------------------------------------------ lloyd
@@ -318,15 +320,42 @@ def swap_panel(seed):
                 yield Y, singles, k
 
 
+def swap_tie():
+    """Point 0 sits in cluster 0, whose centroid is far away. Clusters 1
+    and 2 have two points each and centroids (0, 2) and (0, -2): moving it
+    to either costs exactly 2/3 * 4, and the lower index must win."""
+    Y = np.array([[0.0, 0.0], [20.0, 0.0], [20.0, 0.0],
+                  [0.0, 1.0], [0.0, 3.0], [0.0, -1.0], [0.0, -3.0]])
+    return Y, np.array([0, 0, 0, 1, 1, 2, 2], dtype=np.int32), 3
+
+
+def swap_edge_cases():
+    """Starts the random panel rarely or never makes: k = 1, k = 6, n == k,
+    duplicate rows (zero distances), int32 labels and an exact tie."""
+    rng = np.random.default_rng(28)
+    Y = rng.normal(size=(30, 4))
+    yield Y, np.zeros(30, dtype=int), 1
+    yield Y, rng.permutation(np.arange(30) % 6).astype(np.int32), 6
+    yield Y[:5], rng.permutation(5), 5
+    dup = np.repeat(rng.normal(size=(4, 3)), [5, 1, 3, 6], axis=0)
+    yield dup, rng.permutation(np.arange(15) % 3), 3
+    yield swap_tie()
+
+
 def test_swap_matches_reference_loop():
     multi_pass = singleton_starts = 0
-    for Y, labels, k in swap_panel(18):
+    for Y, labels, k in itertools.chain(swap_panel(18), swap_edge_cases()):
+        before = labels.copy()
         want, passes = swap_reference(Y, labels, k, kmeans.MAX_SWAP_SWEEPS)
-        assert np.array_equal(kmeans._swap_refine(Y, labels, k), want)
+        got = kmeans._swap_refine(Y, labels, k)
+        assert np.array_equal(got, want)
+        assert got.dtype == labels.dtype
+        assert np.array_equal(labels, before)
         multi_pass += passes > 2
         singleton_starts += (np.bincount(labels, minlength=k) == 1).any()
     # the panel exercises the cases the scan must get right
     assert multi_pass >= 10 and singleton_starts >= 10
+    assert kmeans._swap_refine(*swap_tie())[0] == 1
     # and through the fit path, where sparse fits pass F-ordered columns
     rng = np.random.default_rng(19)
     m = np.asfortranarray(rng.normal(size=(50, 40)))[:, ::3]
@@ -348,6 +377,28 @@ def test_swap_sweep_cap_matches_reference_loop(monkeypatch):
         assert np.array_equal(kmeans._swap_refine(Y, labels, k), want)
         capped += not np.array_equal(want, full)
     assert capped >= 10
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(n=st.integers(1, 12), p=st.integers(1, 4), k=st.integers(1, 4),
+       order=st.sampled_from("CF"), grid=st.booleans(), capped=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_swap_property_matches_reference_loop(n, p, k, order, grid, capped,
+                                               seed):
+    """Small integer grids give duplicate rows and exact ties; every
+    cluster starts non-empty, as Lloyd leaves them."""
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-2, 3, size=(n, p)) if grid else rng.normal(
+        size=(n, p))
+    Y = np.asarray(values, dtype=float, order=order)
+    labels = rng.permutation(np.concatenate(
+        [np.arange(k), rng.integers(0, k, size=n - k)]))
+    with pytest.MonkeyPatch.context() as mp:
+        if capped:
+            mp.setattr(kmeans, "MAX_SWAP_SWEEPS", 1)
+        want, _ = swap_reference(Y, labels, k, kmeans.MAX_SWAP_SWEEPS)
+        assert np.array_equal(kmeans._swap_refine(Y, labels, k), want)
 
 
 @pytest.mark.parametrize("p", [9, 300])
