@@ -165,7 +165,7 @@ def read_csv_matrix(path, *, header: bool = False) -> np.ndarray:
                 if header and lineno == 1:
                     continue
                 try:
-                    vals = [float(cell) for cell in row]
+                    vals = np.fromiter(map(float, row), float, len(row))
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
                 if width is None:
@@ -182,11 +182,19 @@ def read_csv_matrix(path, *, header: bool = False) -> np.ndarray:
 
 
 def write_csv_matrix(path, m) -> None:
-    m = np.asarray(m, dtype=float)
+    """Write a 2-D float matrix as CSV, one line per row.
+
+    Each cell is repr() of its Python float, the shortest text that reads
+    back to the same bits; cells are joined by "," and every line ends in
+    CRLF. These are the bytes csv.writer's default dialect writes, as no
+    float repr needs quoting. The CLI's d.csv is written here, and the
+    benchmark pins its bytes by digest. Rows are converted one at a time,
+    so no list of every cell is held at once.
+    """
+    m = _as_2d(m)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         for row in m:
-            writer.writerow([repr(float(v)) for v in row])
+            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def _csv_cell(v) -> str:

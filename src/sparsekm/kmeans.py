@@ -34,12 +34,14 @@ then the WCSS of the final labels. All per-cluster counts and sums come
 from data.cluster_stats.
 
 The fit path is bound by per-call overhead at the sizes the gap table runs
-(tens of rows, thousands of fits), so nothing in it is computed twice:
-_best_fit forms the total sum of squares once, Lloyd forms the row norms
-once per call and the centre norms once per iteration, and Lloyd returns
-the WCSS of the labels it returns, which a plain fit keeps. The k-means++
-draw is the inverse-CDF step numpy's Generator.choice takes, made without
-its argument checks. Every one of these gives the same bits as the longer
+(tens of rows, thousands of fits), so nothing in it is computed twice or
+left unread: _best_fit forms the total sum of squares and the row norms
+once per fit and hands them to every restart's Lloyd, Lloyd forms the
+centre norms once per iteration, and Lloyd returns the WCSS of the labels
+it returns, which a plain fit keeps. k-means++ seeding stops after its last
+draw, without the distance row no further draw would read, and each draw
+is the inverse-CDF step numpy's Generator.choice takes, made without its
+argument checks. Every one of these gives the same bits as the longer
 path.
 """
 
@@ -110,12 +112,17 @@ def _pp_draw(d2: np.ndarray, total: float, rng: np.random.Generator) -> int:
 
 
 def _pp_indices(Y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ row selection on a pre-scaled matrix."""
+    """k-means++ row selection on a pre-scaled matrix.
+
+    Draw j reads the squared distance of every row to its nearest of the
+    first j picks, so the distances to a pick are formed just before the
+    next draw: k - 1 rows in all, none after the last draw."""
     n = Y.shape[0]
     idx = np.empty(k, dtype=int)
     idx[0] = int(rng.integers(n))
-    d2 = ((Y - Y[idx[0]]) ** 2).sum(axis=1)
     for j in range(1, k):
+        d = ((Y - Y[idx[j - 1]]) ** 2).sum(axis=1)
+        d2 = d if j == 1 else np.minimum(d2, d)
         total = float(d2.sum())
         if total <= 0.0:
             # fewer than j distinct rows under this metric
@@ -125,7 +132,6 @@ def _pp_indices(Y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
             idx[j:] = rng.choice(remaining, size=k - j, replace=False)
             break
         idx[j] = _pp_draw(d2, total, rng)
-        d2 = np.minimum(d2, ((Y - Y[idx[j]]) ** 2).sum(axis=1))
     return idx
 
 
@@ -152,16 +158,16 @@ def _assign(Y, centers, row_sq, center_sq):
 
 
 def _lloyd_core(Y: np.ndarray, centers: np.ndarray, max_iters: int,
-                sq: float):
-    """Plain Lloyd on a pre-scaled matrix whose squared entries sum to sq.
+                sq: float, row_sq: np.ndarray):
+    """Plain Lloyd on a pre-scaled matrix whose squared entries sum to sq
+    and whose squared row norms are row_sq.
 
     Returns labels, their classical WCSS, iterations used and the number of
-    empty-cluster repairs. The row norms are formed once per call and the
-    centre norms once per iteration, where they serve both the WCSS and the
-    next assignment."""
+    empty-cluster repairs. The caller forms sq and row_sq once per fit, for
+    every start; the centre norms are formed once per iteration, where they
+    serve both the WCSS and the next assignment."""
     n, _ = Y.shape
     k = centers.shape[0]
-    row_sq = (Y**2).sum(axis=1)
     center_sq = (centers**2).sum(axis=1)
     prev_labels = None
     prev_wcss = np.inf
@@ -288,10 +294,11 @@ def _best_fit(m, Y, starts, cfg: KmeansConfig) -> KmeansResult:
     and swap never empties one. A plain fit keeps the WCSS Lloyd returns;
     after swap it is recomputed from the final labels."""
     sq = (Y**2).sum()
+    row_sq = (Y**2).sum(axis=1)
     best = None
     for r, centers in enumerate(starts):
         labels, wcss, iters, repairs = _lloyd_core(Y, centers, cfg.max_iters,
-                                                   sq)
+                                                   sq, row_sq)
         if cfg.refine == "swap":
             labels = _swap_refine(Y, labels, cfg.k)
             counts, sums = cluster_stats(Y, labels, cfg.k)

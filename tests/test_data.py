@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -205,30 +206,93 @@ class TestClusterStats:
         assert np.array_equal(sums, self.reference(x, labels, 4)[1])
 
 
+# Texts that all read as [[1, 2], [3, 4]]: csv quoting, blank lines, LF
+# and CRLF line ends, and the spaces float() strips around a number.
+SAME_MATRIX_TEXTS = [
+    "1,2\n3,4\n",
+    "1,2\r\n3,4\r\n",
+    "1,2\n3,4",
+    '"1","2"\n3,"4.0"\n',
+    "\n1,2\n\n\r\n3,4\n\n",
+    " 1 ,2\t\r\n3, 4 \r\n",
+]
+
+# (text, message after "<path>:"): the parse error comes first even on a
+# line that is also ragged, and names the line and the bad cell.
+BAD_CELL_TEXTS = [
+    ("1.0,2.0\n1.0,oops\n", "2: could not convert string to float: 'oops'"),
+    ("1,2\r\n3,4\r\nx\r\n", "3: could not convert string to float: 'x'"),
+    ("1,2\n\n3,4,oops\n", "3: could not convert string to float: 'oops'"),
+    ('1,2\n"3",""\n', "2: could not convert string to float: ''"),
+    ("1,2\n3,4 5\n", "2: could not convert string to float: '4 5'"),
+]
+
+RAGGED_TEXTS = [
+    ("1,2\n3\n", "2: expected 2 columns, got 1"),
+    ("1\r\n\r\n2,3\r\n", "3: expected 1 columns, got 2"),
+    ('"1","2"\n\n6,7,8\n', "3: expected 2 columns, got 3"),
+]
+
+# Float edge cases: signed zero, the repr switch to exponent form at 1e-4
+# and 1e16, the smallest subnormal and the largest finite double.
+EDGE_MATRIX = np.array([
+    [-0.0, 1e-05, 0.0001, 1e16],
+    [5e-324, 1.7976931348623157e308, 0.1, -2.5],
+    [-1e-05, -0.0001, -1e16, -5e-324],
+    [-1.7976931348623157e308, -0.1, 123456789.125, 0.0],
+])
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
-        x = rng_for(5).standard_normal((7, 3))
-        path = tmp_path / "m.csv"
-        write_csv_matrix(path, x)
-        back = read_csv_matrix(path)
-        assert np.array_equal(back, x)
+        """write_csv_matrix writes csv.writer's bytes (repr cells, CRLF),
+        and read_csv_matrix reads them back bit for bit."""
+        path, ref = tmp_path / "m.csv", tmp_path / "ref.csv"
+        for x in (rng_for(5).standard_normal((7, 3)),
+                  rng_for(6).standard_normal((5, 9)) * 1e3, EDGE_MATRIX):
+            write_csv_matrix(path, x)
+            with open(ref, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                for row in x:
+                    writer.writerow([repr(float(v)) for v in row])
+            assert path.read_bytes() == ref.read_bytes()
+            assert read_csv_matrix(path).tobytes() == x.tobytes()
+        assert path.read_bytes().startswith(
+            b"-0.0,1e-05,0.0001,1e+16\r\n5e-324,1.7976931348623157e+308,")
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("1.0,2.0\n1.0,oops\n")
-        with pytest.raises(DataError, match="bad.csv:2"):
-            read_csv_matrix(path)
+        for text, message in BAD_CELL_TEXTS:
+            path.write_text(text, newline="")
+            with pytest.raises(DataError) as err:
+                read_csv_matrix(path)
+            assert str(err.value) == f"{path}:{message}"
 
     def test_header_flag(self, tmp_path):
         path = tmp_path / "h.csv"
-        path.write_text("a,b\n1,2\n3,4\n")
-        assert read_csv_matrix(path, header=True).shape == (2, 2)
+        for text in SAME_MATRIX_TEXTS:
+            eol = "\r\n" if "\r\n" in text else "\n"
+            for header, prefix in ((False, ""), (True, '"a,b",c' + eol)):
+                path.write_text(prefix + text, newline="")
+                back = read_csv_matrix(path, header=header)
+                assert back.dtype == np.float64
+                assert np.array_equal(back, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
-        path.write_text("1,2\n3\n")
-        with pytest.raises(DataError, match="r.csv:2"):
-            read_csv_matrix(path)
+        for text, message in RAGGED_TEXTS:
+            path.write_text(text, newline="")
+            with pytest.raises(DataError) as err:
+                read_csv_matrix(path)
+            assert str(err.value) == f"{path}:{message}"
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_matrix_writer_rejects_non_2d(self, tmp_path, shape):
+        path = tmp_path / "w.csv"
+        with pytest.raises(DataError, match=rf"2-dimensional, got shape "
+                                            rf"{re.escape(str(shape))}"):
+            write_csv_matrix(path, np.zeros(shape))
+        assert not path.exists()
 
     def test_rows_literal_bytes(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -568,10 +568,12 @@ def test_lloyd_returns_wcss_of_its_labels():
     for m, w, k in fit_panel(24):
         Y = m * np.sqrt(w)
         sq = (Y**2).sum()
+        row_sq = (Y**2).sum(axis=1)
         for r in range(3):
             start = Y[kmeans._pp_indices(Y, k, kmeans.rng_for(r))]
             for max_iters in (1, 2, 100):
-                labels, wcss, _, _ = kmeans._lloyd_core(Y, start, max_iters, sq)
+                labels, wcss, _, _ = kmeans._lloyd_core(Y, start, max_iters,
+                                                        sq, row_sq)
                 counts, sums = cluster_stats(Y, labels, k)
                 mu = sums / counts[:, None]
                 assert wcss == float(sq - counts @ (mu**2).sum(axis=1))
