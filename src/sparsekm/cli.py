@@ -3,11 +3,11 @@
 Subcommands: generate, cluster, tune, evaluate, experiment, sweep.
 Structured results are JSON, tabular results CSV. Every command but
 evaluate takes --seed and is fully deterministic given it; tune and
-experiment take --threads (or the SPARSEKM_THREADS variable), the number of
-worker processes the gap table runs on, which only changes wall time,
-never output bytes or warnings. Each cmd_* function writes its
-outputs and returns (manifest path, outputs, warnings); main times the
-command and writes every manifest from that.
+experiment take --threads, the number of worker processes the gap table
+runs on (default 1), which only changes wall time, never output bytes or
+warnings. Each cmd_* function writes its outputs and returns (manifest
+path, outputs, warnings); main times the command and writes every
+manifest from that.
 Exit codes: 0 success, 1 usage, 2 data error, 3 numerical failure.
 """
 
@@ -41,20 +41,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        value, source = args.threads, f"--threads {args.threads}"
-    else:
-        env = os.environ.get("SPARSEKM_THREADS")
-        if not env:
-            return 1
-        source = f"SPARSEKM_THREADS={env!r}"
-        try:
-            value = int(env)
-        except ValueError:
-            raise UsageError(f"{source} is not an integer")
-    if value < 1:
-        raise UsageError(f"{source}: need at least 1 thread")
-    return value
+    if args.threads is None:
+        return 1
+    if args.threads < 1:
+        raise UsageError(f"--threads {args.threads}: need at least 1 thread")
+    return args.threads
 
 
 def _parse_list(text, kind, flag):

@@ -148,9 +148,10 @@ def total_ss(m, w) -> float:
 
 
 def read_csv_matrix(path, *, header: bool = False) -> np.ndarray:
-    """Read an n x p numeric CSV. Raises DataError with the offending line
-    number on parse failure, and naming the path when it cannot be opened
-    or decoded."""
+    """Read an n x p numeric CSV; with header, the first non-blank record
+    is skipped. Raises DataError naming the physical line on which the
+    offending record ends on parse failure, and naming the path when it
+    cannot be opened or decoded."""
     rows = []
     width = None
     try:
@@ -159,11 +160,14 @@ def read_csv_matrix(path, *, header: bool = False) -> np.ndarray:
         raise DataError(f"{path}: {exc.strerror or exc}") from None
     with fh:
         try:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row:
                     continue
-                if header and lineno == 1:
+                if header:
+                    header = False
                     continue
+                lineno = reader.line_num
                 try:
                     vals = np.fromiter(map(float, row), float, len(row))
                 except ValueError as exc:

@@ -58,6 +58,7 @@ from .data import as_matrix, cluster_stats
 
 REFINE_MODES = ("none", "swap")
 LLOYD_TOL = 1e-8      # stop Lloyd once WCSS falls by less than this fraction
+MAX_LLOYD_ITERS = 100
 MAX_SWAP_SWEEPS = 100
 
 
@@ -65,7 +66,6 @@ MAX_SWAP_SWEEPS = 100
 class KmeansConfig:
     k: int
     restarts: int = 10
-    max_iters: int = 100
     seed: int = 0
     refine: str = "none"
 
@@ -74,8 +74,6 @@ class KmeansConfig:
             raise DataError(f"k must be in [1, {n}], got {self.k}")
         if self.restarts < 1:
             raise DataError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_iters < 1:
-            raise DataError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.refine not in REFINE_MODES:
             raise DataError(f"refine must be one of {REFINE_MODES}")
         return self
@@ -297,8 +295,8 @@ def _best_fit(m, Y, starts, cfg: KmeansConfig) -> KmeansResult:
     row_sq = (Y**2).sum(axis=1)
     best = None
     for r, centers in enumerate(starts):
-        labels, wcss, iters, repairs = _lloyd_core(Y, centers, cfg.max_iters,
-                                                   sq, row_sq)
+        labels, wcss, iters, repairs = _lloyd_core(Y, centers,
+                                                   MAX_LLOYD_ITERS, sq, row_sq)
         if cfg.refine == "swap":
             labels = _swap_refine(Y, labels, cfg.k)
             counts, sums = cluster_stats(Y, labels, cfg.k)
@@ -314,7 +312,10 @@ def _best_fit(m, Y, starts, cfg: KmeansConfig) -> KmeansResult:
 
 
 def lloyd_weighted(m, w, init_centroids, cfg: KmeansConfig) -> KmeansResult:
-    """Lloyd iterations from explicit starting centroids."""
+    """Lloyd iterations, and the optional swap stage, from the one given
+    start. Of cfg it reads k, which must equal the number of rows of
+    init_centroids, and refine; restarts and seed are validated but
+    unused."""
     m = as_matrix(m)
     cfg.validated(m.shape[0])
     w = _check_weights(w, m.shape[1])

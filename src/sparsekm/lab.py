@@ -32,6 +32,8 @@ from .metrics import ecr
 from .sparse import SparseKmeansConfig, l0_kmeans
 from .synth import MixtureSpec, generate, with_total_n
 
+WILSON_Z = 1.959964   # the two-sided 95% normal quantile
+
 
 @dataclass
 class TrialOutcome:
@@ -70,15 +72,15 @@ class SweepReport:
             fh.write("\n")
 
 
-def wilson_interval(hits: int, trials: int, z: float = 1.959964) -> tuple:
+def wilson_interval(hits: int, trials: int) -> tuple:
     """95% score interval for a binomial proportion."""
     if trials < 1:
         raise UsageError("need at least one trial")
     phat = hits / trials
-    denom = 1.0 + z**2 / trials
-    center = (phat + z**2 / (2 * trials)) / denom
-    half = z * np.sqrt(phat * (1 - phat) / trials
-                       + z**2 / (4 * trials**2)) / denom
+    denom = 1.0 + WILSON_Z**2 / trials
+    center = (phat + WILSON_Z**2 / (2 * trials)) / denom
+    half = WILSON_Z * np.sqrt(phat * (1 - phat) / trials
+                              + WILSON_Z**2 / (4 * trials**2)) / denom
     return max(0.0, float(center - half)), min(1.0, float(center + half))
 
 

@@ -12,7 +12,8 @@ For the l0 method the feasible set is {w : 0 <= w_j <= 1, ||w||_0 <= s}
 and the maximizer is the indicator of the top-floor(s) entries of a. For
 the l1 method it is {w : ||w||_2 <= 1, ||w||_1 <= s, w >= 0} and the
 maximizer is a normalized soft threshold with the cut chosen by bisection.
-The loop stops when sum|w_new - w_old| / sum|w_old| < OUTER_TOL.
+The loop stops when sum|w_new - w_old| / sum|w_old| < OUTER_TOL, or
+unconverged after MAX_OUTER_ITERS rounds.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .kmeans import KmeansConfig, KmeansResult, run_kmeans
 
 METHODS = ("l0", "l1")
 OUTER_TOL = 1e-4
+MAX_OUTER_ITERS = 20
 
 
 def _check_s(method: str, s: float, p: int) -> None:
@@ -46,14 +48,11 @@ class SparseKmeansConfig:
     s: float
     method: str
     inner: KmeansConfig
-    max_outer_iters: int = 20
 
     def validated(self, n: int, p: int) -> "SparseKmeansConfig":
         if self.method not in METHODS:
             raise DataError(f"method must be one of {METHODS}")
         _check_s(self.method, self.s, p)
-        if self.max_outer_iters < 1:
-            raise DataError("max_outer_iters must be >= 1")
         self.inner.validated(n)
         return self
 
@@ -68,7 +67,7 @@ class SparseKmeansResult:
     converged: bool
     selected_features: np.ndarray
     bcss: np.ndarray          # a_j at the final partition
-    inner: KmeansResult | None = None
+    inner: KmeansResult
 
 
 def l0_weight_update(a, s: float) -> np.ndarray:
@@ -143,22 +142,21 @@ def sparse_kmeans(m, cfg: SparseKmeansConfig, path: tuple = ()) -> SparseKmeansR
     extends the RNG stream names of the inner k-means fits."""
     m = as_matrix(m)
     n, p = m.shape
-    cfg.validated(n, p)  # max_outer_iters >= 1: the loop binds inner and a
+    cfg.validated(n, p)
     w = np.full(p, 1.0 / np.sqrt(p))
-    feasible = False  # the uniform start is not in either feasible set
     converged = False
     update = l0_weight_update if cfg.method == "l0" else l1_weight_update
-    for outer in range(1, cfg.max_outer_iters + 1):
+    for outer in range(1, MAX_OUTER_ITERS + 1):
         active = np.flatnonzero(w > NONZERO_TOL)
         inner = run_kmeans(m[:, active], w[active], cfg.inner,
                            path=(*path, outer))
         a = bcss_per_feature(m, inner.labels, cfg.inner.k)
         w_new = update(a, cfg.s)
-        if feasible and w_new @ a < w @ a - 1e-9 * max(1.0, abs(w @ a)):
+        # the uniform start (outer 1) is in neither feasible set
+        if outer > 1 and w_new @ a < w @ a - 1e-9 * max(1.0, abs(w @ a)):
             raise NumericalError("weight update decreased the objective")
         delta = np.abs(w_new - w).sum() / np.abs(w).sum()
         w = w_new
-        feasible = True
         if delta < OUTER_TOL:
             converged = True
             break

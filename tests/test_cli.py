@@ -264,7 +264,7 @@ def test_tune_pool_error_is_numerical_error(tmp_path, monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
-def test_tune_thread_invariance_and_env(tmp_path, monkeypatch):
+def test_tune_thread_invariance(tmp_path):
     csv_path, _ = make_signal_csv(tmp_path)
     args = ["tune", "--input", str(csv_path), "--method", "l0", "--k", "3",
             "--grid", "2,5", "--permutations", "3", "--restarts", "2",
@@ -273,12 +273,6 @@ def test_tune_thread_invariance_and_env(tmp_path, monkeypatch):
     assert main(args + ["--threads", "3", "--out", str(tmp_path / "s3")]) == 0
     assert (tmp_path / "s1.gap.csv").read_bytes() == \
         (tmp_path / "s3.gap.csv").read_bytes()
-    monkeypatch.setenv("SPARSEKM_THREADS", "3")
-    assert main(args + ["--out", str(tmp_path / "se")]) == 0
-    assert (tmp_path / "se.gap.csv").read_bytes() == \
-        (tmp_path / "s1.gap.csv").read_bytes()
-    monkeypatch.setenv("SPARSEKM_THREADS", "lots")
-    assert main(args + ["--out", str(tmp_path / "sx")]) == 1
 
 
 # -------------------------------------------------------------- evaluate
@@ -566,35 +560,25 @@ def test_threads_rejected_where_unused(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("command", ["tune", "experiment"])
-def test_threads_and_env_accepted_where_read(tmp_path, monkeypatch, command):
+def test_threads_accepted_where_read(tmp_path, command):
     if command == "tune":
         argv = ["tune", "--input", str(make_noise_csv(tmp_path)),
                 "--method", "l0", "--k", "3", "--out", str(tmp_path / "t")]
     else:
         argv = ["experiment", "--id", "E3", "--outdir", str(tmp_path / "e")]
     assert build_parser().parse_args(argv + ["--threads", "2"]).threads == 2
-    monkeypatch.setenv("SPARSEKM_THREADS", "lots")
-    assert main(argv) == 1
 
 
 @pytest.mark.parametrize("command", ["tune", "experiment"])
-@pytest.mark.parametrize("source", ["flag", "env"])
-def test_threads_below_one_is_usage_error(tmp_path, monkeypatch, capsys,
-                                          command, source):
+def test_threads_below_one_is_usage_error(tmp_path, capsys, command):
     if command == "tune":
         argv = ["tune", "--input", str(make_noise_csv(tmp_path)),
                 "--method", "l0", "--k", "3", "--out", str(tmp_path / "t")]
     else:
         argv = ["experiment", "--id", "E3", "--reps", "1",
                 "--outdir", str(tmp_path / "e")]
-    if source == "flag":
-        argv += ["--threads", "0"]
-        named = "--threads 0"
-    else:
-        monkeypatch.setenv("SPARSEKM_THREADS", "0")
-        named = "SPARSEKM_THREADS='0'"
-    assert main(argv) == 1
-    assert named in capsys.readouterr().err
+    assert main(argv + ["--threads", "0"]) == 1
+    assert "--threads 0" in capsys.readouterr().err
     assert not (tmp_path / "t.manifest.json").exists()
     assert not (tmp_path / "e").exists()
 

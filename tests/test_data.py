@@ -225,12 +225,14 @@ BAD_CELL_TEXTS = [
     ("1,2\n\n3,4,oops\n", "3: could not convert string to float: 'oops'"),
     ('1,2\n"3",""\n', "2: could not convert string to float: ''"),
     ("1,2\n3,4 5\n", "2: could not convert string to float: '4 5'"),
+    ('"1\n",2\n3,x\n', "3: could not convert string to float: 'x'"),
 ]
 
 RAGGED_TEXTS = [
     ("1,2\n3\n", "2: expected 2 columns, got 1"),
     ("1\r\n\r\n2,3\r\n", "3: expected 1 columns, got 2"),
     ('"1","2"\n\n6,7,8\n', "3: expected 2 columns, got 3"),
+    ('"1\n",2\n3\n', "3: expected 2 columns, got 1"),
 ]
 
 # Float edge cases: signed zero, the repr switch to exponent form at 1e-4
@@ -272,7 +274,9 @@ class TestCsv:
         path = tmp_path / "h.csv"
         for text in SAME_MATRIX_TEXTS:
             eol = "\r\n" if "\r\n" in text else "\n"
-            for header, prefix in ((False, ""), (True, '"a,b",c' + eol)):
+            # the header is the first non-blank record, not record 1
+            for header, prefix in ((False, ""), (True, '"a,b",c' + eol),
+                                   (True, eol + '"a,b",c' + eol)):
                 path.write_text(prefix + text, newline="")
                 back = read_csv_matrix(path, header=header)
                 assert back.dtype == np.float64

@@ -159,8 +159,6 @@ def test_config_validation():
     with pytest.raises(DataError):
         run_kmeans(m, np.ones(2), KmeansConfig(k=2, refine="polish"))
     with pytest.raises(DataError):
-        run_kmeans(m, np.ones(2), KmeansConfig(k=2, max_iters=0))
-    with pytest.raises(DataError):
         run_kmeans(m, np.full(2, -1.0), KmeansConfig(k=2))
     with pytest.raises(DataError):
         run_kmeans(m, np.ones(3), KmeansConfig(k=2))
@@ -497,7 +495,8 @@ def pp_reference(Y, k, rng):
 def best_fit_reference(m, Y, starts, cfg):
     best = None
     for r, centers in enumerate(starts):
-        labels, iters, repairs = lloyd_reference(Y, centers, cfg.max_iters)
+        labels, iters, repairs = lloyd_reference(Y, centers,
+                                                 kmeans.MAX_LLOYD_ITERS)
         if cfg.refine == "swap":
             labels = kmeans._swap_refine(Y, labels, cfg.k)
         counts, sums = cluster_stats_reference(Y, labels, cfg.k)
@@ -541,14 +540,14 @@ def fit_panel(seed):
                 yield m, rng.uniform(0.1, 2.0, size=p), k
 
 
-def test_fit_path_matches_reference():
+def test_fit_path_matches_reference(monkeypatch):
     capped = repaired = 0
     for m, w, k in fit_panel(23):
         Y = m * np.sqrt(w)
         for max_iters in (1, 100):
+            monkeypatch.setattr(kmeans, "MAX_LLOYD_ITERS", max_iters)
             for refine in kmeans.REFINE_MODES:
-                cfg = KmeansConfig(k=k, restarts=3, seed=k, max_iters=max_iters,
-                                   refine=refine)
+                cfg = KmeansConfig(k=k, restarts=3, seed=k, refine=refine)
                 want = best_fit_reference(
                     m, Y, [Y[pp_reference(Y, k, kmeans.rng_for(cfg.seed, r))]
                            for r in range(cfg.restarts)], cfg)

@@ -4,6 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from sparsekm import sparse
 from sparsekm.errors import InvalidSpec, UsageError
 from sparsekm.kmeans import KmeansConfig
 from sparsekm.lab import (SweepReport, SweepRow, nondecreasing_within_slack,
@@ -18,11 +19,10 @@ def lab_spec(seed, mu=10.0, n_per=20, p=100, p_star=10, rho=0.0):
                        means=means, rho=rho, seed=seed)
 
 
-def lab_cfg(spec, seed, restarts=3, max_outer=20):
+def lab_cfg(spec, seed, restarts=3):
     return SparseKmeansConfig(s=float(spec.p_star), method="l0",
                               inner=KmeansConfig(k=spec.k, restarts=restarts,
-                                                 seed=seed),
-                              max_outer_iters=max_outer)
+                                                 seed=seed))
 
 
 # --------------------------------------------------------------- trials
@@ -38,11 +38,12 @@ def test_strong_signal_recovers_support():
     assert hits >= 19
 
 
-def test_no_signal_rarely_shows_gap():
+def test_no_signal_rarely_shows_gap(monkeypatch):
+    monkeypatch.setattr(sparse, "MAX_OUTER_ITERS", 10)
     hits = 0
     for seed in range(100):
         spec = lab_spec(seed, mu=0.0, n_per=10)
-        out = run_trial(spec, lab_cfg(spec, seed, restarts=1, max_outer=10))
+        out = run_trial(spec, lab_cfg(spec, seed, restarts=1))
         hits += out.gap_event
     assert hits / 100 < 0.05
 

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from sparsekm import sparse
 from sparsekm.data import bcss_per_feature, standardize
 from sparsekm.errors import (AllNonPositiveBcss, DataError, DegenerateData,
                              NumericalError, SparsityOutOfRange)
@@ -176,16 +177,16 @@ def test_l0_s_equals_p_is_plain_kmeans():
     assert np.array_equal(res.labels, plain.labels)
 
 
-def test_outer_loop_converges_and_reports():
+def test_outer_loop_converges_and_reports(monkeypatch):
     x, _ = generate(signal_spec(4))
     xs = standardize(x)
     res = l0_kmeans(xs, SparseKmeansConfig(s=5, method="l0",
                                            inner=inner_cfg(4)))
     assert res.converged
     assert 1 <= res.outer_iters <= 20
+    monkeypatch.setattr(sparse, "MAX_OUTER_ITERS", 1)
     capped = l0_kmeans(xs, SparseKmeansConfig(s=5, method="l0",
-                                              inner=inner_cfg(4),
-                                              max_outer_iters=1))
+                                              inner=inner_cfg(4)))
     assert not capped.converged
     assert capped.outer_iters == 1
 
@@ -276,10 +277,6 @@ def test_config_range_validation():
     with pytest.raises(SparsityOutOfRange):
         sparse_kmeans(x, SparseKmeansConfig(s=3.5, method="l1",
                                             inner=inner_cfg()))
-    with pytest.raises(DataError):
-        sparse_kmeans(x, SparseKmeansConfig(s=2, method="l0",
-                                            inner=inner_cfg(),
-                                            max_outer_iters=0))
 
 
 def test_constant_matrix_raises():
