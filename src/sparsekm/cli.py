@@ -40,6 +40,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text) -> int:
+    """A --seed value: RNG streams are named by non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"need a non-negative integer, "
+                                         f"got {seed}")
+    return seed
+
+
 def _threads(args) -> int:
     if args.threads is None:
         return 1
@@ -340,7 +352,7 @@ def build_parser() -> _Parser:
 
     # flags shared by several commands, each declared once
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0)
+    seed.add_argument("--seed", type=_seed, default=0)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", required=True)
     mu_p = argparse.ArgumentParser(add_help=False)

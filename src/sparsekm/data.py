@@ -71,23 +71,31 @@ def standardize(m, *, allow_constant: bool = False) -> np.ndarray:
 
 
 def cluster_stats(m, labels, k: int):
-    """Per-cluster row counts and column sums of m, for labels in [0, k).
+    """Per-cluster row counts and column sums of m, for labels in [0, k)."""
+    counts = np.bincount(labels, minlength=k)
+    return counts, _cluster_sums(m, labels, counts)
+
+
+def _cluster_sums(m, labels, counts):
+    """Column sums of m per cluster, given the cluster sizes counts.
 
     Each sum adds its cluster's rows in row order: a stable argsort of the
     labels and one row gather put every cluster in a contiguous C-ordered
     block, kept in row order, and numpy sums such a block one row after
-    the other. One column goes through np.bincount, because numpy sums a
-    contiguous column pairwise instead."""
-    counts = np.bincount(labels, minlength=k)
+    the other, straight into its row of the result. One column goes
+    through np.bincount, because numpy sums a contiguous column pairwise
+    instead. Lloyd calls this with the counts it already holds."""
+    k = counts.shape[0]
     if m.shape[1] == 1:
-        return counts, np.bincount(labels, weights=m[:, 0], minlength=k)[:, None]
-    rows = m[np.argsort(labels, kind="stable")]
+        return np.bincount(labels, weights=m[:, 0], minlength=k)[:, None]
+    rows = m[labels.argsort(kind="stable")]
     sums = np.empty((k, m.shape[1]))
     start = 0
-    for c, end in enumerate(np.cumsum(counts).tolist()):
-        sums[c] = rows[start:end].sum(axis=0)
+    for c, size in enumerate(counts.tolist()):
+        end = start + size
+        np.add.reduce(rows[start:end], axis=0, out=sums[c])
         start = end
-    return counts, sums
+    return sums
 
 
 def _centroids(m, labels, k: int):

@@ -30,19 +30,33 @@ a single point, whatever the memory order of the input.
 
 _best_fit is the one fit loop, from the start lloyd_weighted gives or
 from each k-means++ restart of run_kmeans: Lloyd, the optional swap stage,
-then the WCSS of the final labels. All per-cluster counts and sums come
-from data.cluster_stats.
+then the WCSS of the final labels. All per-cluster sums come from the
+block sums behind data.cluster_stats.
 
 The fit path is bound by per-call overhead at the sizes the gap table runs
 (tens of rows, thousands of fits), so nothing in it is computed twice or
-left unread: _best_fit forms the total sum of squares and the row norms
-once per fit and hands them to every restart's Lloyd, Lloyd forms the
-centre norms once per iteration, and Lloyd returns the WCSS of the labels
-it returns, which a plain fit keeps. k-means++ seeding stops after its last
-draw, without the distance row no further draw would read, and each draw
-is the inverse-CDF step numpy's Generator.choice takes, made without its
-argument checks. Every one of these gives the same bits as the longer
-path.
+left unread. Per fit, _best_fit squares Y once, forms the total sum of
+squares and the row norms from that one square, frees it, and hands both
+to every restart's Lloyd. Per Lloyd iteration:
+  - the distance table d is built in place in the product Y centers^T,
+    with no temporary for -2 G or for either sum;
+  - the labels are counted once, with np.bincount, and those counts serve
+    the empty-cluster test, the block sums of the new centres (they mark
+    where each cluster's block ends) and the WCSS;
+  - the centre norms are formed once, for both the WCSS and the next
+    assignment;
+  - Lloyd returns the WCSS of the labels it returns, which a plain fit
+    keeps.
+k-means++ seeding stops after its last draw, without the distance row no
+further draw would read, and each draw is the inverse-CDF step numpy's
+Generator.choice takes, made without its argument checks. Every one of
+these gives the same bits as the longer path.
+
+Two faster forms of the cluster sums are not used, because each changes
+bits, and hence labels and every digest downstream: np.add.reduceat over
+the sorted rows adds a block in another order than a row-by-row
+reduction, and a one-hot matrix product adds it in the BLAS kernel's
+order.
 """
 
 from __future__ import annotations
@@ -53,8 +67,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import rng_for
-from .errors import AllZeroWeights, DataError, DegenerateData, NumericalError
-from .data import as_matrix, cluster_stats
+from .errors import (AllZeroWeights, DataError, DegenerateData,
+                     NonFiniteInput, NumericalError)
+from .data import _cluster_sums, as_matrix, cluster_stats
 
 REFINE_MODES = ("none", "swap")
 LLOYD_TOL = 1e-8      # stop Lloyd once WCSS falls by less than this fraction
@@ -93,6 +108,8 @@ def _check_weights(w, p: int) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (p,):
         raise DataError(f"weights must have shape ({p},), got {w.shape}")
+    if not np.isfinite(w).all():
+        raise NonFiniteInput("weights contain NaN or infinity")
     if (w < 0).any():
         raise DataError("weights must be nonnegative")
     if not (w > 0).any():
@@ -150,9 +167,14 @@ def kmeans_pp_init(m, w, k: int, seed: int) -> np.ndarray:
 
 def _assign(Y, centers, row_sq, center_sq):
     """Nearest centre of every row, given the squared row norms of Y and of
-    centers."""
-    d = row_sq[:, None] - 2.0 * (Y @ centers.T) + center_sq[None, :]
-    return np.argmin(d, axis=1), d
+    centers. d is row_sq - 2 Y centers^T + center_sq, built in place in
+    the product: negation is exact and addition commutes, so the bits are
+    those of that expression."""
+    d = Y @ centers.T
+    d *= -2.0
+    d += row_sq[:, None]
+    d += center_sq
+    return d.argmin(axis=1), d
 
 
 def _lloyd_core(Y: np.ndarray, centers: np.ndarray, max_iters: int,
@@ -173,7 +195,7 @@ def _lloyd_core(Y: np.ndarray, centers: np.ndarray, max_iters: int,
     for it in range(1, max_iters + 1):
         new_labels, d = _assign(Y, centers, row_sq, center_sq)
         counts = np.bincount(new_labels, minlength=k)
-        while (counts == 0).any():
+        while not counts.all():
             empty = int(np.flatnonzero(counts == 0)[0])
             dist_own = d[np.arange(n), new_labels]
             movable = counts[new_labels] >= 2
@@ -182,11 +204,10 @@ def _lloyd_core(Y: np.ndarray, centers: np.ndarray, max_iters: int,
             new_labels[donor] = empty
             counts[empty] = 1
             repairs += 1
-        if prev_labels is not None and np.array_equal(new_labels, prev_labels):
+        if prev_labels is not None and (new_labels == prev_labels).all():
             iters = it - 1
             break
-        _, sums = cluster_stats(Y, new_labels, k)
-        centers = sums / counts[:, None]
+        centers = _cluster_sums(Y, new_labels, counts) / counts[:, None]
         center_sq = (centers**2).sum(axis=1)
         wcss = float(sq - counts @ center_sq)
         labels = new_labels
@@ -291,8 +312,9 @@ def _best_fit(m, Y, starts, cfg: KmeansConfig) -> KmeansResult:
     wins, the first on ties. No cluster is empty: Lloyd repairs empty ones
     and swap never empties one. A plain fit keeps the WCSS Lloyd returns;
     after swap it is recomputed from the final labels."""
-    sq = (Y**2).sum()
-    row_sq = (Y**2).sum(axis=1)
+    Y2 = Y**2
+    sq, row_sq = Y2.sum(), Y2.sum(axis=1)
+    del Y2   # not held through the restarts
     best = None
     for r, centers in enumerate(starts):
         labels, wcss, iters, repairs = _lloyd_core(Y, centers,
@@ -323,6 +345,8 @@ def lloyd_weighted(m, w, init_centroids, cfg: KmeansConfig) -> KmeansResult:
     if init.shape != (cfg.k, m.shape[1]):
         raise DataError(f"init_centroids must have shape ({cfg.k}, "
                         f"{m.shape[1]}), got {init.shape}")
+    if not np.isfinite(init).all():
+        raise NonFiniteInput("init_centroids contain NaN or infinity")
     root = np.sqrt(w)
     Y = m * root
     return _best_fit(m, Y, [init * root], cfg)

@@ -38,7 +38,8 @@ class MixtureSpec:
         if any(int(sz) < 1 for sz in self.sizes):
             raise InvalidSpec("every cluster size must be >= 1")
         if not 0 <= self.p_star <= self.p:
-            raise InvalidSpec(f"need 0 <= p_star <= p, got {self.p_star} > {self.p}")
+            raise InvalidSpec(f"need 0 <= p_star <= p={self.p}, "
+                              f"got p_star={self.p_star}")
         means = np.asarray(self.means, dtype=float)
         if means.shape != (self.k, self.p_star):
             raise InvalidSpec(

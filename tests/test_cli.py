@@ -583,6 +583,22 @@ def test_threads_below_one_is_usage_error(tmp_path, capsys, command):
     assert not (tmp_path / "e").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--experiment", "E3a", "--out", "o"],
+    ["cluster", "--input", "x.csv", "--method", "kmeans", "--k", "3",
+     "--out", "o"],
+    ["tune", "--input", "x.csv", "--method", "l0", "--k", "3", "--out", "o"],
+    ["experiment", "--id", "E3", "--outdir", "e"],
+    ["sweep", "--p", "30", "--p-star", "5", "--out", "o"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--seed", "-2"]) == 1
+    assert "argument --seed: need a non-negative integer, got -2" in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 1
     capsys.readouterr()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sparsekm import kmeans
 from sparsekm.data import cluster_stats, weighted_wcss
 from sparsekm.errors import (AllZeroWeights, DataError, DegenerateData,
-                             NumericalError)
+                             NonFiniteInput, NumericalError)
 from sparsekm.kmeans import (KmeansConfig, kmeans_pp_init, lloyd_weighted,
                              run_kmeans)
 
@@ -162,6 +162,23 @@ def test_config_validation():
         run_kmeans(m, np.full(2, -1.0), KmeansConfig(k=2))
     with pytest.raises(DataError):
         run_kmeans(m, np.ones(3), KmeansConfig(k=2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_and_starts_rejected(bad):
+    m = np.random.default_rng(28).normal(size=(12, 3))
+    w = np.array([bad, 1.0, 1.0])
+    cfg = KmeansConfig(k=2)
+    fits = [lambda: run_kmeans(m, w, cfg),
+            lambda: lloyd_weighted(m, w, m[:2], cfg),
+            lambda: kmeans_pp_init(m, w, 2, seed=0)]
+    for fit in fits:
+        with pytest.raises(NonFiniteInput, match="weights"):
+            fit()
+    init = m[:2].copy()
+    init[1, 0] = bad
+    with pytest.raises(NonFiniteInput, match="init_centroids"):
+        lloyd_weighted(m, np.ones(3), init, cfg)
 
 
 # ------------------------------------------------------------- run_kmeans

@@ -18,8 +18,10 @@ def test_spec_validation():
         small_spec(sizes=(5,)).validated()
     with pytest.raises(InvalidSpec):
         small_spec(sizes=(5, 0)).validated()
-    with pytest.raises(InvalidSpec):
-        small_spec(p_star=5).validated()
+    for p_star in (5, -1):
+        with pytest.raises(InvalidSpec, match=rf"need 0 <= p_star <= p=4, "
+                                              rf"got p_star={p_star}$"):
+            small_spec(p_star=p_star).validated()
     with pytest.raises(InvalidSpec):
         small_spec(means=np.ones((2, 3))).validated()
     with pytest.raises(InvalidSpec):
