@@ -8,14 +8,19 @@ serial runs of the same command are bit-identical.
 
 import numpy as np
 
+from .errors import UsageError
+
 
 def rng_for(seed: int, *path: int) -> np.random.Generator:
     """Return the generator for the stream (seed, *path).
 
     path entries are small non-negative integers naming the consumer,
     e.g. (restart,) inside k-means or (s_index, perm_index) inside gap
-    tuning. Distinct paths give statistically independent streams.
+    tuning. Distinct paths give statistically independent streams. A
+    negative seed names no stream and raises UsageError.
     """
+    if seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed),
                                 spawn_key=tuple(int(x) for x in path))
     return np.random.Generator(np.random.Philox(ss))

@@ -40,24 +40,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _seed(text) -> int:
-    """A --seed value: RNG streams are named by non-negative integers."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"need a non-negative integer, "
-                                         f"got {seed}")
-    return seed
-
-
-def _threads(args) -> int:
-    if args.threads is None:
-        return 1
-    if args.threads < 1:
-        raise UsageError(f"--threads {args.threads}: need at least 1 thread")
-    return args.threads
+def _int_at_least(least):
+    """An argparse type for an integer flag that must be >= least, so a
+    count or seed out of range exits 1 at parse time, before any input is
+    read or output written."""
+    def parse(text) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"need an integer >= {least}, "
+                                             f"got {value}")
+        return value
+    return parse
 
 
 def _parse_list(text, kind, flag):
@@ -155,7 +151,7 @@ def cmd_tune(args):
         warnings.simplefilter("always")
         profile = gap_statistic(x, args.method, inner, grid=grid,
                                 b=args.permutations, one_se=args.one_se,
-                                threads=_threads(args))
+                                threads=args.threads or 1)
         caught = [str(w.message) for w in wlist]
     at = int(np.flatnonzero(profile.grid == profile.chosen_s)[0])
     if profile.gap[at] <= 2.0 * profile.se[at]:
@@ -289,13 +285,6 @@ def _write_records_csv(path, records) -> None:
 
 
 def cmd_experiment(args):
-    for flag, value, least in (("--reps", args.reps, 1),
-                               ("--permutations", args.permutations, 2),
-                               ("--restarts", args.restarts, 1),
-                               ("--tune-restarts", args.tune_restarts, 1)):
-        if value < least:
-            raise UsageError(f"{flag} {value}: need at least {least}")
-    threads = _threads(args)
     os.makedirs(args.outdir, exist_ok=True)
     outputs = []
     agg_rows = []
@@ -303,7 +292,7 @@ def cmd_experiment(args):
     for cell_id, params in _experiment_cells(args.id):
         records = run_experiment_cell(cell_id, params, args.reps, args.seed,
                                       args.restarts, args.tune_restarts,
-                                      args.permutations, threads)
+                                      args.permutations, args.threads or 1)
         cell = _cell_name(cell_id, params)
         stem = cell.replace("(", "_").replace(")", "").replace(",", "_") \
             .replace("=", "")
@@ -351,8 +340,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # flags shared by several commands, each declared once
+    count = _int_at_least(1)
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=_seed, default=0)
+    seed.add_argument("--seed", type=_int_at_least(0), default=0)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", required=True)
     mu_p = argparse.ArgumentParser(add_help=False)
@@ -360,14 +350,15 @@ def build_parser() -> _Parser:
     mu_p.add_argument("--p", type=int, default=None)
     fit_inputs = argparse.ArgumentParser(add_help=False)
     fit_inputs.add_argument("--input", required=True)
-    fit_inputs.add_argument("--k", type=int, required=True)
+    fit_inputs.add_argument("--k", type=count, required=True)
+    fit_inputs.add_argument("--restarts", type=count, default=10)
     fit_inputs.add_argument("--refine", choices=["none", "swap"],
                             default="none")
     fit_inputs.add_argument("--header", action="store_true")
     fit_inputs.add_argument("--no-standardize", action="store_true")
     gap = argparse.ArgumentParser(add_help=False)
-    gap.add_argument("--permutations", type=int, default=10)
-    gap.add_argument("--threads", type=int, default=None)
+    gap.add_argument("--permutations", type=_int_at_least(2), default=10)
+    gap.add_argument("--threads", type=count, default=None)
 
     sp = sub.add_parser("generate", parents=[mu_p, out, seed],
                         help="draw a synthetic benchmark dataset")
@@ -379,14 +370,12 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("cluster", parents=[fit_inputs, out, seed],
                         help="fit kmeans, l0, or l1 on a CSV")
     sp.add_argument("--method", required=True, choices=["kmeans", "l0", "l1"])
-    sp.add_argument("--restarts", type=int, default=10)
     sp.add_argument("--s", type=float, default=None)
     sp.set_defaults(func=cmd_cluster)
 
     sp = sub.add_parser("tune", parents=[fit_inputs, out, seed, gap],
                         help="choose s by the gap statistic")
     sp.add_argument("--method", required=True, choices=["l0", "l1"])
-    sp.add_argument("--restarts", type=int, default=10)
     sp.add_argument("--grid", default=None,
                     help="comma-separated s values (default: built-in grid)")
     sp.add_argument("--one-se", action="store_true")
@@ -403,9 +392,9 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("experiment", parents=[seed, gap],
                         help="run a full benchmark with all methods")
     sp.add_argument("--id", required=True, choices=["E1", "E2", "E3", "E4"])
-    sp.add_argument("--reps", type=int, default=20)
-    sp.add_argument("--restarts", type=int, default=20)
-    sp.add_argument("--tune-restarts", type=int, default=5)
+    sp.add_argument("--reps", type=count, default=20)
+    sp.add_argument("--restarts", type=count, default=20)
+    sp.add_argument("--tune-restarts", type=count, default=5)
     sp.add_argument("--outdir", required=True)
     sp.set_defaults(func=cmd_experiment)
 

@@ -30,6 +30,15 @@ def _as_2d(values, name: str = "data") -> np.ndarray:
     return m
 
 
+def _as_weights(w, p: int) -> np.ndarray:
+    """Validate and return one float weight per column of a p-column
+    matrix."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (p,):
+        raise DataError(f"weights must have shape ({p},), got {w.shape}")
+    return w
+
+
 def as_matrix(values, *, name: str = "data") -> np.ndarray:
     """Validate and return an n x p float matrix (finite, n >= 2, p >= 1)."""
     m = _as_2d(values, name)
@@ -143,14 +152,15 @@ def weighted_wcss(m, labels, w, k: int) -> float:
     sum_k (1/n_k) sum_{i,i' in C_k} sum_j w_j (x_ij - x_i'j)^2
     = 2 sum_j w_j (classical within-group SS of feature j).
     """
-    w = np.asarray(w, dtype=float)
+    m = _as_2d(m)
+    w = _as_weights(w, m.shape[1])
     return float(2.0 * (w @ _within_group_ss(m, labels, k)))
 
 
 def total_ss(m, w) -> float:
     """Weighted total dispersion (1/n) sum_{i,i'} sum_j w_j d_{ii'j}."""
     m = _as_2d(m)
-    w = np.asarray(w, dtype=float)
+    w = _as_weights(w, m.shape[1])
     centered = m - m.mean(axis=0)
     return float(2.0 * (w @ (centered**2).sum(axis=0)))
 

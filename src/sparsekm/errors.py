@@ -4,6 +4,17 @@ Every error carries an exit_code so the command line can map failure
 classes to process exit statuses: 1 usage, 2 data, 3 numerical.
 """
 
+import operator
+
+
+def check_integer(name: str, value, error: type) -> int:
+    """value as an int if operator.index accepts it (so numpy integers
+    pass and 2.5 or 2.0 do not); else raise error naming the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
 
 class SparsekmError(Exception):
     exit_code = 3

@@ -26,7 +26,8 @@ from functools import partial
 import numpy as np
 
 from ._rng import rng_for, spawn_seed
-from .errors import NonPositiveObjective, NumericalError, UsageError
+from .errors import (NonPositiveObjective, NumericalError, UsageError,
+                     check_integer)
 from .data import as_matrix, write_csv_rows
 from .kmeans import KmeansConfig
 from .sparse import SparseKmeansConfig, sparse_kmeans
@@ -140,6 +141,8 @@ def gap_statistic(m, method: str, inner: KmeansConfig, grid=None, b: int = 10,
     grid = np.asarray(grid, dtype=float)
     if grid.size < 1 or (np.diff(grid) <= 0).any():
         raise UsageError("grid must be non-empty and strictly ascending")
+    check_integer("b", b, UsageError)
+    check_integer("threads", threads, UsageError)
     if b < 2:
         raise UsageError(f"need at least 2 permutations, got {b}")
     if threads < 1:

@@ -68,8 +68,8 @@ import numpy as np
 
 from ._rng import rng_for
 from .errors import (AllZeroWeights, DataError, DegenerateData,
-                     NonFiniteInput, NumericalError)
-from .data import _cluster_sums, as_matrix, cluster_stats
+                     NonFiniteInput, NumericalError, check_integer)
+from .data import _as_weights, _cluster_sums, as_matrix, cluster_stats
 
 REFINE_MODES = ("none", "swap")
 LLOYD_TOL = 1e-8      # stop Lloyd once WCSS falls by less than this fraction
@@ -85,6 +85,8 @@ class KmeansConfig:
     refine: str = "none"
 
     def validated(self, n: int) -> "KmeansConfig":
+        check_integer("k", self.k, DataError)
+        check_integer("restarts", self.restarts, DataError)
         if self.k < 1 or self.k > n:
             raise DataError(f"k must be in [1, {n}], got {self.k}")
         if self.restarts < 1:
@@ -105,9 +107,7 @@ class KmeansResult:
 
 
 def _check_weights(w, p: int) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.shape != (p,):
-        raise DataError(f"weights must have shape ({p},), got {w.shape}")
+    w = _as_weights(w, p)
     if not np.isfinite(w).all():
         raise NonFiniteInput("weights contain NaN or infinity")
     if (w < 0).any():

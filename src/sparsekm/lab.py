@@ -76,6 +76,8 @@ def wilson_interval(hits: int, trials: int) -> tuple:
     """95% score interval for a binomial proportion."""
     if trials < 1:
         raise UsageError("need at least one trial")
+    if not 0 <= hits <= trials:
+        raise UsageError(f"need 0 <= hits <= trials={trials}, got hits={hits}")
     phat = hits / trials
     denom = 1.0 + WILSON_Z**2 / trials
     center = (phat + WILSON_Z**2 / (2 * trials)) / denom

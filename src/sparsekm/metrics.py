@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import NONZERO_TOL
-from .errors import IndexOutOfRange, LengthMismatch
+from .errors import DataError, IndexOutOfRange, LengthMismatch
 
 
 def _as_labels(x, name):
@@ -83,6 +83,8 @@ class FeatureCounts(NamedTuple):
 
 def feature_counts(w, support) -> FeatureCounts:
     w = np.asarray(w, dtype=float)
+    if w.ndim != 1:
+        raise DataError(f"weights must be 1-dimensional, got shape {w.shape}")
     p = w.shape[0]
     support = np.asarray(support, dtype=int)
     if support.size and (support.min() < 0 or support.max() >= p):

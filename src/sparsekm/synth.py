@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import rng_for
-from .errors import InvalidSpec, UnknownExperiment
+from .errors import InvalidSpec, UnknownExperiment, check_integer
 
 
 @dataclass
@@ -113,7 +113,8 @@ def experiment_spec(exp_id: str, *, mu: float | None = None,
         return MixtureSpec(k=6, sizes=(20,) * 6, p=2000, p_star=200,
                            means=means, rho=0.0, seed=seed)
     if exp_id == "E2":
-        return MixtureSpec(k=3, sizes=(20, 20, 20), p=int(p), p_star=50,
+        return MixtureSpec(k=3, sizes=(20, 20, 20),
+                           p=check_integer("p", p, InvalidSpec), p_star=50,
                            means=_three_cluster_means(mu, 50), rho=0.0,
                            seed=seed)
     if exp_id == "E3a":

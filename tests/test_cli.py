@@ -424,7 +424,9 @@ def test_experiment_rejects_small_counts(tmp_path, monkeypatch, capsys, flag,
     outdir = tmp_path / "exp"
     assert main(["experiment", "--id", "E3", flag, value,
                  "--outdir", str(outdir)]) == 1
-    assert f"{flag} {value}" in capsys.readouterr().err
+    least = int(value) + 1
+    assert f"argument {flag}: need an integer >= {least}, got {value}" in \
+        capsys.readouterr().err
     assert not outdir.exists()
 
 
@@ -578,7 +580,8 @@ def test_threads_below_one_is_usage_error(tmp_path, capsys, command):
         argv = ["experiment", "--id", "E3", "--reps", "1",
                 "--outdir", str(tmp_path / "e")]
     assert main(argv + ["--threads", "0"]) == 1
-    assert "--threads 0" in capsys.readouterr().err
+    assert "argument --threads: need an integer >= 1, got 0" in \
+        capsys.readouterr().err
     assert not (tmp_path / "t.manifest.json").exists()
     assert not (tmp_path / "e").exists()
 
@@ -594,9 +597,58 @@ def test_threads_below_one_is_usage_error(tmp_path, capsys, command):
 def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--seed", "-2"]) == 1
-    assert "argument --seed: need a non-negative integer, got -2" in \
+    assert "argument --seed: need an integer >= 0, got -2" in \
         capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# (command, flag, value one below the flag's bound) for every integer flag
+# the parser checks; cluster and tune name an --input that does not exist,
+# which would exit 2 if the command got as far as reading it
+_COMMAND_ARGV = {
+    "generate": ["--experiment", "E3a", "--out", "o"],
+    "cluster": ["--input", "missing.csv", "--method", "l0", "--s", "2",
+                "--k", "3", "--out", "o"],
+    "tune": ["--input", "missing.csv", "--method", "l0", "--k", "3",
+             "--out", "o"],
+    "experiment": ["--id", "E3", "--reps", "1", "--outdir", "e"],
+    "sweep": ["--p", "30", "--p-star", "5", "--out", "o"],
+}
+_BOUNDED_FLAGS = [
+    ("generate", "--seed", "-1"),
+    ("cluster", "--seed", "-1"), ("cluster", "--k", "0"),
+    ("cluster", "--restarts", "0"),
+    ("tune", "--seed", "-1"), ("tune", "--k", "0"),
+    ("tune", "--restarts", "0"), ("tune", "--permutations", "1"),
+    ("tune", "--threads", "0"),
+    ("experiment", "--seed", "-1"), ("experiment", "--reps", "0"),
+    ("experiment", "--restarts", "0"),
+    ("experiment", "--tune-restarts", "0"),
+    ("experiment", "--permutations", "1"), ("experiment", "--threads", "0"),
+    ("sweep", "--seed", "-1"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", _BOUNDED_FLAGS)
+def test_integer_flag_below_bound_exits_at_parse(tmp_path, monkeypatch,
+                                                 capsys, command, flag, value):
+    monkeypatch.chdir(tmp_path)
+    assert main([command] + _COMMAND_ARGV[command] + [flag, value]) == 1
+    least = int(value) + 1
+    assert f"argument {flag}: need an integer >= {least}, got {value}" in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bounded_flag_cases_cover_the_parser():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    declared = {(command, action.option_strings[0])
+                for command, sp in subparsers.items()
+                for action in sp._actions
+                if getattr(action.type, "__qualname__", "")
+                .startswith("_int_at_least.")}
+    assert declared == {(command, flag) for command, flag, _ in
+                        _BOUNDED_FLAGS}
 
 
 def test_no_command_is_usage_error(capsys):

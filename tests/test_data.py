@@ -345,6 +345,16 @@ def test_ss_helpers_reject_non_2d(fn, args):
 
 
 @pytest.mark.parametrize("fn, args", [
+    (weighted_wcss, ([0, 1, 0, 1, 0, 1], np.ones(3), 2)),
+    (total_ss, (np.ones(3),)),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_ss_helpers_need_one_weight_per_column(fn, args):
+    m = np.arange(36.0).reshape(6, 6)
+    with pytest.raises(DataError, match=r"shape \(6,\), got \(3,\)"):
+        fn(m, *args)
+
+
+@pytest.mark.parametrize("fn, args", [
     (bcss_per_feature, ([], 2)),
     (between_group_ss, ([], 2)),
     (weighted_wcss, ([], np.ones(3), 2)),

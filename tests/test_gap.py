@@ -156,6 +156,11 @@ def test_gap_argument_validation():
         gap_statistic(m, "l0", cfg(), grid=np.array([2.0]), b=1)
     with pytest.raises(UsageError):
         gap_statistic(m, "l0", cfg(), grid=np.array([2.0]), b=2, threads=0)
+    with pytest.raises(UsageError, match="b must be an integer, got 2.5"):
+        gap_statistic(m, "l0", cfg(), grid=np.array([2.0]), b=2.5)
+    with pytest.raises(UsageError, match="threads must be an integer"):
+        gap_statistic(m, "l0", cfg(), grid=np.array([2.0]), b=2,
+                      threads=1.5)
     with pytest.raises(SparsityOutOfRange):
         gap_statistic(m, "l0", cfg(), grid=np.array([2.0, 9.0]), b=2)
     with pytest.raises(SparsityOutOfRange):

@@ -162,6 +162,13 @@ def test_config_validation():
         run_kmeans(m, np.full(2, -1.0), KmeansConfig(k=2))
     with pytest.raises(DataError):
         run_kmeans(m, np.ones(3), KmeansConfig(k=2))
+    with pytest.raises(DataError, match="k must be an integer, got 2.5"):
+        run_kmeans(m, np.ones(2), KmeansConfig(k=2.5))
+    with pytest.raises(DataError, match="restarts must be an integer"):
+        run_kmeans(m, np.ones(2), KmeansConfig(k=2, restarts=1.5))
+    # numpy integers are integers
+    assert run_kmeans(m, np.ones(2), KmeansConfig(
+        k=np.int64(2), restarts=np.int32(2))).labels.shape == (4,)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -6,11 +6,12 @@ import pytest
 
 from sparsekm import sparse
 from sparsekm.errors import InvalidSpec, UsageError
-from sparsekm.kmeans import KmeansConfig
+from sparsekm.gap import permute_columns
+from sparsekm.kmeans import KmeansConfig, run_kmeans
 from sparsekm.lab import (SweepReport, SweepRow, nondecreasing_within_slack,
                           run_trial, sweep, wilson_interval)
 from sparsekm.sparse import SparseKmeansConfig
-from sparsekm.synth import MixtureSpec
+from sparsekm.synth import MixtureSpec, experiment_spec, generate
 
 
 def lab_spec(seed, mu=10.0, n_per=20, p=100, p_star=10, rho=0.0):
@@ -26,6 +27,21 @@ def lab_cfg(spec, seed, restarts=3):
 
 
 # --------------------------------------------------------------- trials
+
+@pytest.mark.parametrize("call", [
+    lambda: run_kmeans(np.arange(8.0).reshape(4, 2), np.ones(2),
+                       KmeansConfig(k=2, seed=-1)),
+    lambda: generate(lab_spec(-3)),
+    lambda: sweep(lab_spec(-1, p=20, p_star=4), [30], 20),
+    lambda: permute_columns(np.arange(8.0).reshape(4, 2), -1),
+    lambda: run_trial(experiment_spec("E3a", seed=-5),
+                      lab_cfg(experiment_spec("E3a"), 0)),
+], ids=["run_kmeans", "generate", "sweep", "permute_columns", "run_trial"])
+def test_negative_seed_is_usage_error(call):
+    with pytest.raises(UsageError, match="seed must be a non-negative "
+                                         "integer, got -"):
+        call()
+
 
 def test_strong_signal_recovers_support():
     hits = 0
@@ -137,6 +153,9 @@ def test_wilson_interval_known_values():
     assert lo1 > 0.8
     with pytest.raises(UsageError):
         wilson_interval(0, 0)
+    for hits in (30, -1):
+        with pytest.raises(UsageError, match=f"got hits={hits}"):
+            wilson_interval(hits, 20)
 
 
 def test_wilson_contains_point_estimate():

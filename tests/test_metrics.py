@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsekm.errors import IndexOutOfRange, LengthMismatch
+from sparsekm.errors import DataError, IndexOutOfRange, LengthMismatch
 from sparsekm.metrics import (cer, confusion_proportions, contingency, ecr,
                               feature_counts, purity)
 
@@ -151,6 +151,12 @@ def test_feature_counts_bounds_random():
 def test_feature_counts_tiny_weights_are_zero():
     counts = feature_counts(np.array([1e-13, 0.5]), np.array([0]))
     assert counts == (1, 0, 0)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4), ()])
+def test_feature_counts_needs_1d_weights(shape):
+    with pytest.raises(DataError, match="1-dimensional"):
+        feature_counts(np.ones(shape), [0])
 
 
 def test_feature_counts_index_error():

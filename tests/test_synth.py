@@ -66,6 +66,9 @@ def test_experiment_spec_errors():
         experiment_spec("E4")
     with pytest.raises(UnknownExperiment):
         experiment_spec("E9")
+    with pytest.raises(InvalidSpec, match="p must be an integer, got 200.5"):
+        experiment_spec("E2", mu=0.7, p=200.5)
+    assert experiment_spec("E2", mu=0.7, p=np.int64(200)).p == 200
 
 
 @pytest.mark.parametrize("exp_id, kwargs, fixed", [
