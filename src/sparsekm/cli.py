@@ -118,6 +118,11 @@ def _fit_payload(result, method, s) -> dict:
 
 
 def cmd_cluster(args):
+    if args.method == "kmeans" and args.s is not None:
+        raise UsageError("--s does not apply to method kmeans, which keeps "
+                         "every feature")
+    if args.method != "kmeans" and args.s is None:
+        raise UsageError(f"--s is required for method {args.method}")
     x = _load_input(args)
     inner = _inner_config(args)
     if args.method == "kmeans":
@@ -131,8 +136,6 @@ def cmd_cluster(args):
             objective=float(np.sum(bcss)), outer_iters=1, converged=True,
             selected_features=np.arange(p), bcss=bcss, inner=res)
     else:
-        if args.s is None:
-            raise UsageError(f"--s is required for method {args.method}")
         s = args.s
         result = sparse_kmeans(x, SparseKmeansConfig(s=s, method=args.method,
                                                      inner=inner))

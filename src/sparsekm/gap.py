@@ -50,14 +50,12 @@ class GapProfile:
 
 
 def permute_columns(m, seed: int) -> np.ndarray:
-    """Independently permute every column; column multisets are preserved."""
-    m = as_matrix(m)
-    rng = rng_for(seed)
-    out = np.empty_like(m)
-    n = m.shape[0]
-    for j in range(m.shape[1]):
-        out[:, j] = m[rng.permutation(n), j]
-    return out
+    """Independently permute every column; column multisets are preserved.
+
+    Column j is m[perm_j, j], where perm_j is the (j+1)-th draw of
+    rng.permutation(n) from the stream rng_for(seed). The result keeps the
+    input's memory order, which the bits of a fit on it depend on."""
+    return rng_for(seed).permuted(as_matrix(m), axis=0)
 
 
 def default_grid(method: str, p: int) -> np.ndarray:
@@ -163,26 +161,21 @@ def gap_statistic(m, method: str, inner: KmeansConfig, grid=None, b: int = 10,
     objective = np.array(values[: grid.size])
     null_obj = np.array(values[grid.size:]).reshape(grid.size, b)
 
+    ok = ~((objective <= 0.0) | (null_obj <= 0.0).any(axis=1))
+    for s in grid[~ok]:
+        warnings.warn(f"s={s:g} dropped: non-positive objective",
+                      NonPositiveObjective)
     gap = np.full(grid.size, np.nan)
     se = np.full(grid.size, np.nan)
-    for i in range(grid.size):
-        if objective[i] <= 0.0 or (null_obj[i] <= 0.0).any():
-            warnings.warn(f"s={grid[i]:g} dropped: non-positive objective",
-                          NonPositiveObjective)
-            continue
-        logs = np.log(null_obj[i])
-        gap[i] = np.log(objective[i]) - logs.mean()
-        se[i] = logs.std(ddof=1) * np.sqrt(1.0 + 1.0 / b)
+    logs = np.log(null_obj[ok])
+    gap[ok] = np.log(objective[ok]) - logs.mean(axis=1)
+    se[ok] = logs.std(axis=1, ddof=1) * np.sqrt(1.0 + 1.0 / b)
 
     valid = np.flatnonzero(~np.isnan(gap))
     if valid.size == 0:
         raise NumericalError("every grid point had a non-positive objective")
     best = valid[int(np.argmax(gap[valid]))]
-    if one_se:
-        cutoff = gap[best] - se[best]
-        for i in valid:
-            if gap[i] >= cutoff:
-                best = i
-                break
+    if one_se:  # the smallest s whose gap is within one se of the best
+        best = valid[int(np.argmax(gap[valid] >= gap[best] - se[best]))]
     return GapProfile(grid=grid, objective=objective, gap=gap, se=se,
                       chosen_s=float(grid[best]))

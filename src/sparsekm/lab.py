@@ -26,7 +26,7 @@ import numpy as np
 
 from ._rng import spawn_seed
 from .data import write_csv_rows
-from .errors import InvalidSpec, NumericalError, UsageError
+from .errors import InvalidSpec, NumericalError, UsageError, check_integer
 from .kmeans import KmeansConfig
 from .metrics import ecr
 from .sparse import SparseKmeansConfig, l0_kmeans
@@ -116,12 +116,14 @@ def sweep(base_spec: MixtureSpec, n_list, trials: int,
     """Trial frequencies for each n in n_list (ascending), p and p_star
     fixed. base_spec.seed names the whole sweep; per-trial seeds derive
     from (sweep seed, setting index, trial index)."""
+    trials = check_integer("trials", trials, UsageError)
     if trials < 20:
         raise UsageError(f"need at least 20 trials, got {trials}")
+    ns = sorted(check_integer("n", v, UsageError) for v in n_list)
     if inner is None:
         inner = KmeansConfig(k=base_spec.k, restarts=10, refine="swap")
     rows = []
-    for si, n in enumerate(sorted(int(v) for v in n_list)):
+    for si, n in enumerate(ns):
         scaled = with_total_n(base_spec, n)
         hits_gap = hits_support = 0
         ecr_sum = 0.0

@@ -33,10 +33,14 @@ class MixtureSpec:
         return int(sum(self.sizes))
 
     def validated(self) -> "MixtureSpec":
+        for name, value in (("k", self.k), ("p", self.p),
+                            ("p_star", self.p_star)):
+            check_integer(name, value, InvalidSpec)
         if self.k < 1 or len(self.sizes) != self.k:
             raise InvalidSpec(f"need {self.k} cluster sizes, got {len(self.sizes)}")
-        if any(int(sz) < 1 for sz in self.sizes):
-            raise InvalidSpec("every cluster size must be >= 1")
+        for c, size in enumerate(self.sizes):
+            if check_integer(f"sizes[{c}]", size, InvalidSpec) < 1:
+                raise InvalidSpec("every cluster size must be >= 1")
         if not 0 <= self.p_star <= self.p:
             raise InvalidSpec(f"need 0 <= p_star <= p={self.p}, "
                               f"got p_star={self.p_star}")
@@ -133,7 +137,7 @@ def experiment_spec(exp_id: str, *, mu: float | None = None,
 
 def with_total_n(spec: MixtureSpec, n: int) -> MixtureSpec:
     """Same mixture with n samples split as evenly as possible."""
-    base, extra = divmod(int(n), spec.k)
+    base, extra = divmod(check_integer("n", n, InvalidSpec), spec.k)
     if base < 1:
         raise InvalidSpec(f"n={n} is too small for k={spec.k}")
     sizes = tuple(base + (1 if c < extra else 0) for c in range(spec.k))

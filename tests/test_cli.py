@@ -131,6 +131,20 @@ def test_cluster_missing_s_is_usage_error(tmp_path, capsys):
     assert "--s" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exists", [True, False])
+def test_cluster_kmeans_rejects_s_before_reading(tmp_path, capsys, exists):
+    csv_path = make_signal_csv(tmp_path)[0] if exists \
+        else tmp_path / "missing.csv"
+    out = tmp_path / "km"
+    code = main(["cluster", "--input", str(csv_path), "--method", "kmeans",
+                 "--k", "3", "--s", "7", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--s" in err and "kmeans" in err
+    assert not (tmp_path / "km.json").exists()
+    assert not (tmp_path / "km.manifest.json").exists()
+
+
 def test_cluster_bad_csv_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,2.0\n3.0,oops\n")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sparsekm.gap as gap_mod
-from sparsekm._rng import spawn_seed
+from sparsekm._rng import rng_for, spawn_seed
 from sparsekm.errors import (DegenerateData, NonPositiveObjective,
                              NumericalError, SparsityOutOfRange, UsageError)
 from sparsekm.gap import (GapProfile, default_grid, gap_statistic,
@@ -48,6 +48,38 @@ def test_permute_uniform_over_orderings():
         perms[tuple(out[:, 0])] += 1
     for count in perms.values():
         assert abs(count / 6000 - 1 / 6) <= 0.02
+
+
+def permute_columns_loop(m, seed):
+    """Reference: the per-column loop permute_columns replaced."""
+    m = np.asarray(m, dtype=float)
+    rng = rng_for(seed)
+    out = np.empty_like(m)
+    for j in range(m.shape[1]):
+        out[:, j] = m[rng.permutation(m.shape[0]), j]
+    return out
+
+
+def random_layouts(rng, n, p):
+    """One n x p matrix as C-ordered, F-ordered and two strided views."""
+    yield rng.normal(size=(n, p))
+    yield np.asfortranarray(rng.normal(size=(n, p)))
+    yield rng.normal(size=(n, 2 * p + 1))[:, ::2]
+    yield rng.normal(size=(3 * n, p))[1::3]
+
+
+def test_permute_matches_per_column_loop():
+    rng = np.random.default_rng(37)
+    shapes = [(2, 1), (2, 7), (9, 1), (3, 3)]
+    shapes += [tuple(rng.integers(2, 40, size=2)) for _ in range(40)]
+    for case, (n, p) in enumerate(shapes):
+        for m in random_layouts(rng, int(n), int(p)):
+            ref = permute_columns_loop(m, case)
+            out = permute_columns(m, case)
+            assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+            assert out.strides == ref.strides
+            if m.flags.c_contiguous or m.flags.f_contiguous:
+                assert out.strides == m.strides
 
 
 # ----------------------------------------------------------- default grid
@@ -143,6 +175,98 @@ def test_gap_nonpositive_objective_masked(monkeypatch):
     with pytest.warns(NonPositiveObjective):
         with pytest.raises(NumericalError):
             gap_statistic(m, "l0", cfg(k=2), grid=np.array([1.0, 2.0]), b=2)
+
+
+def score_loop(objective, null_obj, grid, b, one_se):
+    """Reference: the per-point gap/se loop and one-SE scan that
+    gap_statistic replaced. Returns gap, se, warning texts, chosen index."""
+    gap = np.full(grid.size, np.nan)
+    se = np.full(grid.size, np.nan)
+    dropped = []
+    for i in range(grid.size):
+        if objective[i] <= 0.0 or (null_obj[i] <= 0.0).any():
+            dropped.append(f"s={grid[i]:g} dropped: non-positive objective")
+            continue
+        logs = np.log(null_obj[i])
+        gap[i] = np.log(objective[i]) - logs.mean()
+        se[i] = logs.std(ddof=1) * np.sqrt(1.0 + 1.0 / b)
+    valid = np.flatnonzero(~np.isnan(gap))
+    best = valid[int(np.argmax(gap[valid]))]
+    if one_se:
+        cutoff = gap[best] - se[best]
+        for i in valid:
+            if gap[i] >= cutoff:
+                best = i
+                break
+    return gap, se, dropped, best
+
+
+def profile_from_table(monkeypatch, objective, null_obj, grid, one_se):
+    """gap_statistic's profile when cell (i, t) returns the given table."""
+    def table_objective(m, s, method, inner, path):
+        if len(path) == 2:          # (tag, grid index)
+            return objective[path[1]]
+        return null_obj[path[1], path[2]]
+
+    monkeypatch.setattr(gap_mod, "_objective", table_objective)
+    m = np.arange(4.0 * grid.size).reshape(4, grid.size)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        prof = gap_statistic(m, "l0", cfg(k=2), grid=grid,
+                             b=null_obj.shape[1], one_se=one_se)
+    assert {w.category for w in caught} <= {NonPositiveObjective}
+    return prof, [str(w.message) for w in caught]
+
+
+def assert_scores_match_loop(monkeypatch, objective, null_obj, grid):
+    for one_se in (False, True):
+        prof, messages = profile_from_table(monkeypatch, objective,
+                                            null_obj, grid, one_se)
+        gap, se, dropped, best = score_loop(objective, null_obj, grid,
+                                            null_obj.shape[1], one_se)
+        assert np.array_equal(prof.gap.view(np.int64), gap.view(np.int64))
+        assert np.array_equal(prof.se.view(np.int64), se.view(np.int64))
+        assert messages == dropped
+        assert prof.chosen_s == grid[best]
+
+
+def test_gap_scores_match_per_point_loop(monkeypatch):
+    rng = np.random.default_rng(38)
+    for case in range(300):
+        size = int(rng.integers(1, 16))
+        b = int(rng.integers(2, 25))
+        grid = np.arange(1.0, size + 1.0)
+        objective = np.exp(rng.normal(scale=2.0, size=size))
+        null_obj = np.exp(rng.normal(scale=rng.uniform(0.01, 2.0),
+                                     size=(size, b)))
+        if case % 3 == 0:           # drop points, in the real or a null
+            drop = rng.random(size) < 0.3
+            objective[drop & (rng.random(size) < 0.5)] *= -1.0
+            null_obj[drop, rng.integers(0, b)] = 0.0
+        if case % 5 == 0:           # exact ties in the gap
+            objective[rng.integers(0, size)] = objective[0]
+            null_obj[:] = null_obj[0]
+        if not ((objective > 0) & (null_obj > 0).all(axis=1)).any():
+            continue
+        assert_scores_match_loop(monkeypatch, objective, null_obj, grid)
+
+
+def test_gap_dropped_points_warn_in_grid_order(monkeypatch):
+    grid = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    objective = np.array([-1.0, 3.0, 4.2, 0.0, 4.0, 5.0])
+    null_obj = np.array([[1.0, 1.5, 1.2], [1.0, 1.1, 1.3],
+                         [2.0, 1.4, 1.1], [1.0, 1.0, 1.0],
+                         [1.2, 1.5, 1.0], [1.0, -2.0, 1.0]])
+    assert_scores_match_loop(monkeypatch, objective, null_obj, grid)
+    argmax, messages = profile_from_table(monkeypatch, objective, null_obj,
+                                          grid, one_se=False)
+    assert messages == [f"s={s} dropped: non-positive objective"
+                        for s in (1, 4, 6)]
+    assert np.isnan(argmax.gap[[0, 3, 5]]).all()
+    assert not np.isnan(argmax.se[[1, 2, 4]]).any()
+    one_se, _ = profile_from_table(monkeypatch, objective, null_obj, grid,
+                                   one_se=True)
+    assert (argmax.chosen_s, one_se.chosen_s) == (5.0, 2.0)
 
 
 def test_gap_argument_validation():

@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from sparsekm import sparse
+from sparsekm import lab, sparse
 from sparsekm.errors import InvalidSpec, UsageError
 from sparsekm.gap import permute_columns
 from sparsekm.kmeans import KmeansConfig, run_kmeans
@@ -105,6 +105,21 @@ def test_sweep_rejects_few_trials():
     base = lab_spec(1, p=20, p_star=4)
     with pytest.raises(UsageError):
         sweep(base, [12], 19)
+
+
+@pytest.mark.parametrize("n_list, trials, message", [
+    ([30], 20.5, "trials must be an integer, got 20.5"),
+    ([30.5], 20, "n must be an integer, got 30.5"),
+    ([30, 60.0], 20, "n must be an integer, got 60.0"),
+], ids=["trials", "n", "second-n"])
+def test_sweep_rejects_non_integers_before_any_trial(monkeypatch, n_list,
+                                                     trials, message):
+    def no_trial(spec, cfg):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(lab, "run_trial", no_trial)
+    with pytest.raises(UsageError, match=f"^{message}$"):
+        sweep(lab_spec(1, p=20, p_star=4), n_list, trials)
 
 
 def test_sweep_report_files(tmp_path):

@@ -29,6 +29,20 @@ def test_spec_validation():
     with pytest.raises(InvalidSpec):
         small_spec(rho=-0.2).validated()
     assert small_spec().validated() is not None
+    spec = small_spec(k=np.int64(2), sizes=(np.int64(5), np.int32(5)),
+                      p=np.int64(4), p_star=np.int16(2))
+    assert generate(spec)[0].shape == (10, 4)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("k", 2.0, r"k must be an integer, got 2\.0"),
+    ("sizes", (5, 5.5), r"sizes\[1\] must be an integer, got 5\.5"),
+    ("p", 4.5, r"p must be an integer, got 4\.5"),
+    ("p_star", 2.0, r"p_star must be an integer, got 2\.0")],
+    ids=["k", "sizes", "p", "p_star"])
+def test_spec_fields_must_be_integers(field, value, message):
+    with pytest.raises(InvalidSpec, match=f"^{message}$"):
+        generate(small_spec(**{field: value}))
 
 
 def test_experiment_specs_frozen():
@@ -147,3 +161,6 @@ def test_with_total_n():
     assert with_total_n(spec, 120).sizes == (40, 40, 40)
     with pytest.raises(InvalidSpec):
         with_total_n(spec, 2)
+    with pytest.raises(InvalidSpec, match="^n must be an integer, got 30.7$"):
+        with_total_n(spec, 30.7)
+    assert with_total_n(spec, np.int64(30)).sizes == (10, 10, 10)
