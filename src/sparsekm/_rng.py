@@ -8,7 +8,7 @@ serial runs of the same command are bit-identical.
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, check_integer
 
 
 def rng_for(seed: int, *path: int) -> np.random.Generator:
@@ -17,9 +17,9 @@ def rng_for(seed: int, *path: int) -> np.random.Generator:
     path entries are small non-negative integers naming the consumer,
     e.g. (restart,) inside k-means or (s_index, perm_index) inside gap
     tuning. Distinct paths give statistically independent streams. A
-    negative seed names no stream and raises UsageError.
+    non-integral or negative seed names no stream and raises UsageError.
     """
-    if seed < 0:
+    if check_integer("seed", seed, UsageError) < 0:
         raise UsageError(f"seed must be a non-negative integer, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed),
                                 spawn_key=tuple(int(x) for x in path))

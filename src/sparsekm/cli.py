@@ -28,11 +28,13 @@ from .data import bcss_per_feature, read_csv_matrix, standardize, \
     write_csv_matrix, write_csv_rows
 from .errors import DataError, SparsekmError, UsageError
 from .gap import gap_statistic
-from .kmeans import KmeansConfig, run_kmeans
+from .kmeans import REFINE_MODES, KmeansConfig, run_kmeans
 from .lab import sweep
 from .metrics import cer, ecr, feature_counts
-from .sparse import SparseKmeansConfig, SparseKmeansResult, sparse_kmeans
-from .synth import MixtureSpec, _three_cluster_means, experiment_spec, generate
+from .sparse import METHODS, SparseKmeansConfig, SparseKmeansResult, \
+    sparse_kmeans
+from .synth import _PRESET_PARAMS, MixtureSpec, _three_cluster_means, \
+    experiment_spec, generate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,7 +197,9 @@ def _load_json(path, **dtypes):
             raise DataError(f"{path}: missing key {key!r}")
         try:
             arrays[key] = np.asarray(payload[key], dtype=dtype)
-            if arrays[key].ndim != 1:
+            if arrays[key].ndim != 1 or (dtype is int and not all(
+                    type(v) in (int, float) and float(v).is_integer()
+                    for v in payload[key])):
                 raise ValueError
         except (TypeError, ValueError, OverflowError):
             raise DataError(f"{path}: {key} is not a flat list of "
@@ -218,17 +222,12 @@ def cmd_evaluate(args):
     return f"{args.out}.manifest.json", [json_path, csv_path], ()
 
 
-def _experiment_cells(exp_id):
-    if exp_id == "E1":
-        return [("E1", {})]
-    if exp_id == "E2":
-        return [("E2", {"mu": mu, "p": p})
-                for mu in (0.6, 0.7) for p in (200, 500, 1000)]
-    if exp_id == "E3":
-        return [("E3a", {}), ("E3b", {})]
-    if exp_id == "E4":
-        return [("E4", {"rho": rho}) for rho in (0.1, 0.3, 0.6)]
-    raise UsageError(f"unknown experiment id {exp_id!r}")
+# the cells each experiment id runs: a preset and the parameters it needs
+_EXPERIMENTS = {"E1": [("E1", {})],
+                "E2": [("E2", {"mu": mu, "p": p})
+                       for mu in (0.6, 0.7) for p in (200, 500, 1000)],
+                "E3": [("E3a", {}), ("E3b", {})],
+                "E4": [("E4", {"rho": rho}) for rho in (0.1, 0.3, 0.6)]}
 
 
 def _cell_name(cell_id, params):
@@ -292,7 +291,7 @@ def cmd_experiment(args):
     outputs = []
     agg_rows = []
     long_rows = []
-    for cell_id, params in _experiment_cells(args.id):
+    for cell_id, params in _EXPERIMENTS[args.id]:
         records = run_experiment_cell(cell_id, params, args.reps, args.seed,
                                       args.restarts, args.tune_restarts,
                                       args.permutations, args.threads or 1)
@@ -355,7 +354,7 @@ def build_parser() -> _Parser:
     fit_inputs.add_argument("--input", required=True)
     fit_inputs.add_argument("--k", type=count, required=True)
     fit_inputs.add_argument("--restarts", type=count, default=10)
-    fit_inputs.add_argument("--refine", choices=["none", "swap"],
+    fit_inputs.add_argument("--refine", choices=REFINE_MODES,
                             default="none")
     fit_inputs.add_argument("--header", action="store_true")
     fit_inputs.add_argument("--no-standardize", action="store_true")
@@ -366,19 +365,19 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("generate", parents=[mu_p, out, seed],
                         help="draw a synthetic benchmark dataset")
     sp.add_argument("--experiment", required=True,
-                    choices=["E1", "E2", "E3a", "E3b", "E4"])
+                    choices=_PRESET_PARAMS)
     sp.add_argument("--rho", type=float, default=None)
     sp.set_defaults(func=cmd_generate)
 
     sp = sub.add_parser("cluster", parents=[fit_inputs, out, seed],
                         help="fit kmeans, l0, or l1 on a CSV")
-    sp.add_argument("--method", required=True, choices=["kmeans", "l0", "l1"])
+    sp.add_argument("--method", required=True, choices=["kmeans", *METHODS])
     sp.add_argument("--s", type=float, default=None)
     sp.set_defaults(func=cmd_cluster)
 
     sp = sub.add_parser("tune", parents=[fit_inputs, out, seed, gap],
                         help="choose s by the gap statistic")
-    sp.add_argument("--method", required=True, choices=["l0", "l1"])
+    sp.add_argument("--method", required=True, choices=METHODS)
     sp.add_argument("--grid", default=None,
                     help="comma-separated s values (default: built-in grid)")
     sp.add_argument("--one-se", action="store_true")
@@ -394,7 +393,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("experiment", parents=[seed, gap],
                         help="run a full benchmark with all methods")
-    sp.add_argument("--id", required=True, choices=["E1", "E2", "E3", "E4"])
+    sp.add_argument("--id", required=True, choices=_EXPERIMENTS)
     sp.add_argument("--reps", type=count, default=20)
     sp.add_argument("--restarts", type=count, default=20)
     sp.add_argument("--tune-restarts", type=count, default=5)

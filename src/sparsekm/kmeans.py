@@ -158,8 +158,7 @@ def kmeans_pp_init(m, w, k: int, seed: int) -> np.ndarray:
     """
     m = as_matrix(m)
     w = _check_weights(w, m.shape[1])
-    if not 1 <= k <= m.shape[0]:
-        raise DataError(f"k={k} must lie in [1, n={m.shape[0]}]")
+    KmeansConfig(k=k, seed=seed).validated(m.shape[0])
     Y = m * np.sqrt(w)
     idx = _pp_indices(Y, k, rng_for(seed, 0))
     return m[idx]
@@ -177,8 +176,8 @@ def _assign(Y, centers, row_sq, center_sq):
     return d.argmin(axis=1), d
 
 
-def _lloyd_core(Y: np.ndarray, centers: np.ndarray, max_iters: int,
-                sq: float, row_sq: np.ndarray):
+def _lloyd_core(Y: np.ndarray, centers: np.ndarray, sq: float,
+                row_sq: np.ndarray):
     """Plain Lloyd on a pre-scaled matrix whose squared entries sum to sq
     and whose squared row norms are row_sq.
 
@@ -192,7 +191,7 @@ def _lloyd_core(Y: np.ndarray, centers: np.ndarray, max_iters: int,
     prev_labels = None
     prev_wcss = np.inf
     repairs = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_LLOYD_ITERS + 1):
         new_labels, d = _assign(Y, centers, row_sq, center_sq)
         counts = np.bincount(new_labels, minlength=k)
         while not counts.all():
@@ -317,8 +316,7 @@ def _best_fit(m, Y, starts, cfg: KmeansConfig) -> KmeansResult:
     del Y2   # not held through the restarts
     best = None
     for r, centers in enumerate(starts):
-        labels, wcss, iters, repairs = _lloyd_core(Y, centers,
-                                                   MAX_LLOYD_ITERS, sq, row_sq)
+        labels, wcss, iters, repairs = _lloyd_core(Y, centers, sq, row_sq)
         if cfg.refine == "swap":
             labels = _swap_refine(Y, labels, cfg.k)
             counts, sums = cluster_stats(Y, labels, cfg.k)

@@ -138,10 +138,10 @@ def sweep(base_spec: MixtureSpec, n_list, trials: int,
             ecr_sum += out.ecr
         glo, ghi = wilson_interval(hits_gap, trials)
         slo, shi = wilson_interval(hits_support, trials)
-        rows.append(SweepRow(n=n, p=base_spec.p, p_star=base_spec.p_star,
-                             trials=trials, freq_gap=hits_gap / trials,
-                             gap_lo=glo, gap_hi=ghi,
-                             freq_support=hits_support / trials,
+        rows.append(SweepRow(n=n, p=int(base_spec.p),
+                             p_star=int(base_spec.p_star), trials=trials,
+                             freq_gap=hits_gap / trials, gap_lo=glo,
+                             gap_hi=ghi, freq_support=hits_support / trials,
                              support_lo=slo, support_hi=shi,
                              mean_ecr=ecr_sum / trials))
     return SweepReport(rows=rows)

@@ -48,6 +48,8 @@ class MixtureSpec:
         if means.shape != (self.k, self.p_star):
             raise InvalidSpec(
                 f"means must be {self.k} x {self.p_star}, got {means.shape}")
+        if not np.isfinite(means).all():
+            raise InvalidSpec("means must be finite")
         if not 0.0 <= self.rho < 1.0:
             raise InvalidSpec(f"rho must be in [0, 1), got {self.rho}")
         return self

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sparsekm
-from sparsekm import cli, gap
+from sparsekm import cli, gap, kmeans, sparse, synth
 from sparsekm.cli import _write_records_csv, build_parser, main
 from sparsekm.data import write_csv_matrix
 from sparsekm.errors import (DataError, DegenerateData, NumericalError,
@@ -80,6 +80,17 @@ def test_generate_unknown_experiment(tmp_path, capsys):
 def test_generate_e2_requires_mu_and_p(tmp_path):
     assert main(["generate", "--experiment", "E2",
                  "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--experiment", "E2", "--mu", "nan", "--p", "60"],
+    ["sweep", "--mu", "inf", "--p", "30", "--p-star", "5", "--n-list", "12",
+     "--trials", "20"],
+], ids=["generate", "sweep"])
+def test_non_finite_mu_is_usage_error(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "d")]) == 1
+    assert "means must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------- cluster
@@ -368,6 +379,48 @@ def test_evaluate_malformed_values_are_data_errors(tmp_path, capsys, replace,
                  "--out", str(tmp_path / "x")]) == 2
     assert f"{result_path}: {named}" in capsys.readouterr().err
     assert not (tmp_path / "x.manifest.json").exists()
+
+
+@pytest.mark.parametrize("path_name, key, values", [
+    ("result", "assignments", [0.4, 0.9, 1.6, 1.2] * 7 + [0, 0]),
+    ("result", "assignments", [True, False] * 15),
+    ("result", "assignments", ["1"] * 30),
+    ("truth", "support", [0.7]),
+], ids=["fraction", "bool", "text", "support"])
+def test_evaluate_rejects_non_integer_labels(tmp_path, capsys, path_name,
+                                             key, values):
+    # a cast alone reads 1.6 as 1 and true as 1
+    _, truth_path = make_signal_csv(tmp_path)
+    truth = json.loads(truth_path.read_text())
+    files = {"result": {"assignments": truth["labels"],
+                        "weights": [1.0] * 5 + [0.0] * 20}, "truth": truth}
+    files[path_name][key] = values
+    paths = {}
+    for name, payload in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    assert main(["evaluate", "--result", str(paths["result"]),
+                 "--truth", str(paths["truth"]),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert f"{paths[path_name]}: {key} is not a flat list of int values" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "x.manifest.json").exists()
+
+
+def test_evaluate_reads_integral_floats_as_integers(tmp_path):
+    _, truth_path = make_signal_csv(tmp_path)
+    labels = json.loads(truth_path.read_text())["labels"]
+    for name, assignments in (("int", labels),
+                              ("float", [float(v) for v in labels])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"assignments": assignments,
+                                    "weights": [1.0] * 25}))
+        assert main(["evaluate", "--result", str(path),
+                     "--truth", str(truth_path),
+                     "--out", str(tmp_path / name)]) == 0
+    for suffix in (".metrics.json", ".metrics.csv"):
+        assert (tmp_path / f"int{suffix}").read_bytes() == \
+            (tmp_path / f"float{suffix}").read_bytes()
 
 
 # ----------------------------------------------------------------- sweep
@@ -663,6 +716,21 @@ def test_bounded_flag_cases_cover_the_parser():
                 .startswith("_int_at_least.")}
     assert declared == {(command, flag) for command, flag, _ in
                         _BOUNDED_FLAGS}
+
+
+def test_parser_choices_come_from_the_library():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    declared = {(command, action.option_strings[0]): list(action.choices)
+                for command, sp in subparsers.items()
+                for action in sp._actions if action.choices is not None}
+    assert declared == {
+        ("generate", "--experiment"): list(synth._PRESET_PARAMS),
+        ("cluster", "--refine"): list(kmeans.REFINE_MODES),
+        ("cluster", "--method"): ["kmeans", *sparse.METHODS],
+        ("tune", "--refine"): list(kmeans.REFINE_MODES),
+        ("tune", "--method"): list(sparse.METHODS),
+        ("experiment", "--id"): list(cli._EXPERIMENTS),
+    }
 
 
 def test_no_command_is_usage_error(capsys):

@@ -88,8 +88,10 @@ def test_pp_init_rejects_bad_inputs():
     with pytest.raises(AllZeroWeights):
         kmeans_pp_init(m, np.zeros(2), 2, seed=0)
     for k in (0, -1, 5):
-        with pytest.raises(DataError, match=rf"k={k} must lie in \[1, n=4\]"):
+        with pytest.raises(DataError, match=rf"k must be in \[1, 4\], got {k}"):
             kmeans_pp_init(m, np.ones(2), k, seed=1)
+    with pytest.raises(DataError, match="k must be an integer, got 2.5"):
+        kmeans_pp_init(m, np.ones(2), 2.5, seed=0)
 
 
 # ------------------------------------------------------------------ lloyd
@@ -587,7 +589,7 @@ def test_fit_path_matches_reference(monkeypatch):
     assert repaired >= 20 and capped >= 10
 
 
-def test_lloyd_returns_wcss_of_its_labels():
+def test_lloyd_returns_wcss_of_its_labels(monkeypatch):
     for m, w, k in fit_panel(24):
         Y = m * np.sqrt(w)
         sq = (Y**2).sum()
@@ -595,8 +597,8 @@ def test_lloyd_returns_wcss_of_its_labels():
         for r in range(3):
             start = Y[kmeans._pp_indices(Y, k, kmeans.rng_for(r))]
             for max_iters in (1, 2, 100):
-                labels, wcss, _, _ = kmeans._lloyd_core(Y, start, max_iters,
-                                                        sq, row_sq)
+                monkeypatch.setattr(kmeans, "MAX_LLOYD_ITERS", max_iters)
+                labels, wcss, _, _ = kmeans._lloyd_core(Y, start, sq, row_sq)
                 counts, sums = cluster_stats(Y, labels, k)
                 mu = sums / counts[:, None]
                 assert wcss == float(sq - counts @ (mu**2).sum(axis=1))

@@ -43,6 +43,21 @@ def test_negative_seed_is_usage_error(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: run_kmeans(np.arange(8.0).reshape(4, 2), np.ones(2),
+                       KmeansConfig(k=2, seed=1.5)),
+    lambda: generate(lab_spec(2.5)),
+    lambda: sweep(lab_spec(1.5, p=20, p_star=4), [30], 20),
+    lambda: permute_columns(np.arange(8.0).reshape(4, 2), 0.5),
+    lambda: run_trial(experiment_spec("E3a", seed=2.5),
+                      lab_cfg(experiment_spec("E3a"), 0)),
+], ids=["run_kmeans", "generate", "sweep", "permute_columns", "run_trial"])
+def test_non_integral_seed_is_usage_error(call):
+    # int(seed) would draw the stream of the truncated seed
+    with pytest.raises(UsageError, match=r"seed must be an integer, got \d\.5"):
+        call()
+
+
 def test_strong_signal_recovers_support():
     hits = 0
     for seed in range(20):
@@ -136,6 +151,18 @@ def test_sweep_report_files(tmp_path):
     assert float(first[4]) == report.rows[0].freq_gap
     loaded = json.loads(json_path.read_text())
     assert loaded == [asdict(r) for r in report.rows]
+
+
+def test_sweep_report_takes_numpy_integer_spec(tmp_path, monkeypatch):
+    monkeypatch.setattr(lab, "run_trial", lambda spec, cfg: lab.TrialOutcome(
+        ecr=0.0, gap_event=True, exact_support=True, seed=spec.seed))
+    report = sweep(lab_spec(1, p=np.int64(20), p_star=np.int32(4)), [30], 20)
+    assert [(type(r.p), type(r.p_star)) for r in report.rows] == [(int, int)]
+    report.to_csv(tmp_path / "r.csv")
+    report.to_json(tmp_path / "r.json")
+    assert (tmp_path / "r.csv").read_text().splitlines()[1] \
+        .startswith("30,20,4,20,")
+    assert json.loads((tmp_path / "r.json").read_text())[0]["p"] == 20
 
 
 def test_sweep_report_csv_bytes(tmp_path):

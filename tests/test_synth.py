@@ -34,6 +34,12 @@ def test_spec_validation():
     assert generate(spec)[0].shape == (10, 4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spec_means_must_be_finite(bad):
+    with pytest.raises(InvalidSpec, match="^means must be finite$"):
+        generate(small_spec(means=np.array([[1.0, bad], [-1.0, -1.0]])))
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("k", 2.0, r"k must be an integer, got 2\.0"),
     ("sizes", (5, 5.5), r"sizes\[1\] must be an integer, got 5\.5"),
