@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -179,7 +180,10 @@ def cmd_tune(args):
 
 
 def _load_json(path, **dtypes):
-    """Each key named in dtypes, read from a JSON object as a 1-D array."""
+    """Each key named in dtypes, read from a JSON object as a 1-D array.
+
+    Every value must be a finite JSON number, not a bool or a string, and
+    of integral value for an int key."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -195,13 +199,15 @@ def _load_json(path, **dtypes):
     for key, dtype in dtypes.items():
         if key not in payload:
             raise DataError(f"{path}: missing key {key!r}")
+        values = payload[key]
         try:
-            arrays[key] = np.asarray(payload[key], dtype=dtype)
-            if arrays[key].ndim != 1 or (dtype is int and not all(
-                    type(v) in (int, float) and float(v).is_integer()
-                    for v in payload[key])):
+            if not isinstance(values, list) or not all(
+                    type(v) in (int, float) and math.isfinite(v)
+                    and (dtype is float or float(v).is_integer())
+                    for v in values):
                 raise ValueError
-        except (TypeError, ValueError, OverflowError):
+            arrays[key] = np.asarray(values, dtype=dtype)
+        except (ValueError, OverflowError):
             raise DataError(f"{path}: {key} is not a flat list of "
                             f"{dtype.__name__} values")
     return arrays
@@ -242,6 +248,16 @@ def run_experiment_cell(cell_id, params, reps, seed, restarts, tune_restarts,
     """All three methods on one benchmark cell, sparse ones gap-tuned.
 
     Returns a list of per-rep metric dicts.
+
+    The l0 and l1 fits of a rep share their first outer steps through one
+    memo per rep, which is per source matrix xs: a first step uses the
+    uniform weights 1/sqrt(p) and the RNG path (*path, 1), which name
+    neither s nor the method, and the two gap tables fit the same xs, the
+    same nulls and the same tune config. So every l1 gap cell whose grid
+    index the l0 grid also has, and the l1 final fit, reuse the l0 fit
+    with the same path and config instead of refitting it, bit for bit
+    (see gap.py). Each method still makes one gap_statistic call and one
+    sparse_kmeans call, with the method in its second argument.
     """
     records = []
     for rep in range(reps):
@@ -250,6 +266,7 @@ def run_experiment_cell(cell_id, params, reps, seed, restarts, tune_restarts,
         x, truth = generate(spec)
         xs = standardize(x)
         k = spec.k
+        first_steps = {}
         rec = {"cell": _cell_name(cell_id, params), "rep": rep}
         km = run_kmeans(xs, np.ones(spec.p),
                         KmeansConfig(k=k, restarts=restarts, seed=rep_seed,
@@ -263,12 +280,12 @@ def run_experiment_cell(cell_id, params, reps, seed, restarts, tune_restarts,
             tune_inner = KmeansConfig(k=k, restarts=tune_restarts,
                                       seed=spawn_seed(rep_seed, 1))
             profile = gap_statistic(xs, method, tune_inner, b=b,
-                                    threads=threads)
+                                    threads=threads, _memo=first_steps)
             fit_inner = KmeansConfig(k=k, restarts=restarts,
                                      seed=spawn_seed(rep_seed, 2), refine="swap")
             cfg = SparseKmeansConfig(s=profile.chosen_s, method=method,
                                      inner=fit_inner)
-            result = sparse_kmeans(xs, cfg)
+            result = sparse_kmeans(xs, cfg, _memo=first_steps)
             counts = feature_counts(result.weights, truth.support)
             rec[f"s_{method}"] = profile.chosen_s
             rec[f"cer_{method}"] = cer(result.labels, truth.labels)

@@ -8,9 +8,12 @@ import operator
 
 
 def check_integer(name: str, value, error: type) -> int:
-    """value as an int if operator.index accepts it (so numpy integers
-    pass and 2.5 or 2.0 do not); else raise error naming the field."""
+    """value as an int if operator.index accepts it and it is not a bool
+    (so numpy integers pass and 2.5, 2.0 or True do not); else raise error
+    naming the field."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None

@@ -15,6 +15,23 @@ inline, in this process; with more, on a pool of forked worker processes
 and send back each objective with the warnings its fit raised, re-emitted
 here in cell order. Every cell draws from the RNG stream named by its
 indices, so results and warnings are identical at any worker count.
+
+Tables on one matrix can share their cells' first outer steps through a
+private memo, a dict passed as _memo, one per source matrix: the l0 and
+l1 tables of an experiment rep fit the same matrix, the same nulls
+(null t follows from inner.seed) and the same inner config. A cell's
+first step uses the uniform weights 1/sqrt(p) on every feature and the
+stream (_REAL, i, 1) or (_NULL, i, t, 1), which names neither s nor the
+method. So sparse_kmeans keys that step on (path, inner config): the first
+table fits it and stores its labels, WCSS, counters and warnings; the
+second table, at each grid index both grids have, takes the entry instead
+of refitting, re-emits the warnings and recomputes the centroids from the
+labels as k-means does, so every bit of its profile is that of a fresh
+run. The key holds no matrix bytes: the path tag tells the real data from
+a null, and the caller's one-memo-per-matrix rule does the rest. Pooled
+workers send back, with each objective, the first step they fitted and
+the key of the one they took, and the parent applies both to its memo,
+so a later pool inherits the filled memo at fork.
 """
 
 from __future__ import annotations
@@ -72,18 +89,18 @@ def default_grid(method: str, p: int) -> np.ndarray:
     raise UsageError(f"unknown method {method!r}")
 
 
-def _objective(m, s, method, inner, path) -> float:
+def _objective(m, s, method, inner, path, memo=None) -> float:
     cfg = SparseKmeansConfig(s=float(s), method=method, inner=inner)
-    return sparse_kmeans(m, cfg, path=path).objective
+    return sparse_kmeans(m, cfg, path=path, _memo=memo).objective
 
 
 def _cell(table, job) -> float:
     """The objective of cell (i, t): the real data at t = -1, else null t."""
-    m, nulls, grid, method, inner = table
+    m, nulls, grid, method, inner, memo = table
     i, t = job
-    if t < 0:
-        return _objective(m, grid[i], method, inner, (_REAL, i))
-    return _objective(nulls[t], grid[i], method, inner, (_NULL, i, t))
+    args = ((m, grid[i], method, inner, (_REAL, i)) if t < 0 else
+            (nulls[t], grid[i], method, inner, (_NULL, i, t)))
+    return _objective(*args) if memo is None else _objective(*args, memo)
 
 
 _worker_table = None  # the table a forked pool worker was started with
@@ -95,15 +112,24 @@ def _init_worker(*table) -> None:
 
 
 def _worker_cell(job):
-    with warnings.catch_warnings(record=True) as caught:
+    memo = _worker_table[-1]
+    known = set(memo or ())
+    with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
         value = _cell(_worker_table, job)
-    return value, [(w.category, str(w.message)) for w in caught]
+    caught = [(w.category, str(w.message)) for w in wlist]
+    if memo is None:
+        return value, caught, {}, ()
+    # the first step this job fitted, or the key of the one it took
+    return (value, caught, {key: memo[key] for key in memo.keys() - known},
+            known - memo.keys())
 
 
 def _pool_map(table, jobs, workers):
     """Objectives of jobs in order, from forked workers; their warnings are
-    re-emitted here in job order, as an inline run emits them.
+    re-emitted here in job order, as an inline run emits them. With a
+    memo, the parent's copy changes as the workers' copies did: it stores
+    the first steps they fitted and drops the ones they took.
 
     fork: each worker inherits the table and the imported package, where
     spawn or forkserver would import numpy afresh in every worker and send
@@ -113,15 +139,20 @@ def _pool_map(table, jobs, workers):
     from concurrent.futures import ProcessPoolExecutor
 
     values = []
+    memo = table[-1]
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_worker,
                              initargs=table) as pool:
         try:
-            for value, caught in pool.map(_worker_cell, jobs):
+            for value, caught, fresh, taken in pool.map(_worker_cell, jobs):
                 for category, message in caught:
                     warnings.warn(message, category)
                 values.append(value)
+                for key in taken:
+                    del memo[key]
+                if fresh:
+                    memo.update(fresh)
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -129,9 +160,12 @@ def _pool_map(table, jobs, workers):
 
 
 def gap_statistic(m, method: str, inner: KmeansConfig, grid=None, b: int = 10,
-                  one_se: bool = False, threads: int = 1) -> GapProfile:
+                  one_se: bool = False, threads: int = 1, *,
+                  _memo: dict | None = None) -> GapProfile:
     """The gap profile over grid; threads is the number of worker
-    processes the (grid x permutation) table runs on."""
+    processes the (grid x permutation) table runs on. _memo, private,
+    shares the cells' first outer steps with other tables on the same
+    matrix (see the module docstring)."""
     m = as_matrix(m)
     p = m.shape[1]
     if grid is None:
@@ -150,7 +184,7 @@ def gap_statistic(m, method: str, inner: KmeansConfig, grid=None, b: int = 10,
 
     nulls = [permute_columns(m, spawn_seed(inner.seed, _PERMUTE, t))
              for t in range(b)]
-    table = (m, nulls, grid, method, inner)
+    table = (m, nulls, grid, method, inner, _memo)
     jobs = [(i, -1) for i in range(grid.size)]
     jobs += [(i, t) for i in range(grid.size) for t in range(b)]
     if threads == 1:

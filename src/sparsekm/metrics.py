@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import NONZERO_TOL
-from .errors import DataError, IndexOutOfRange, LengthMismatch
+from .errors import DataError, IndexOutOfRange, LengthMismatch, NonFiniteInput
 
 
 def _as_labels(x, name):
@@ -82,11 +82,19 @@ class FeatureCounts(NamedTuple):
 
 
 def feature_counts(w, support) -> FeatureCounts:
+    """Counts for finite weights w and support indices of integral value
+    (an integer, or a float such as 2.0)."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
         raise DataError(f"weights must be 1-dimensional, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise NonFiniteInput("weights contain NaN or infinity")
     p = w.shape[0]
-    support = np.asarray(support, dtype=int)
+    given = np.asarray(support)
+    if given.dtype.kind not in "iuf" or not np.isfinite(given).all() \
+            or (given % 1 != 0).any():
+        raise DataError("support indices must be integers")
+    support = given.astype(int)
     if support.size and (support.min() < 0 or support.max() >= p):
         raise IndexOutOfRange(f"support indices must lie in [0, {p})")
     relevant = np.zeros(p, dtype=bool)

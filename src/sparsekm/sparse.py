@@ -18,11 +18,12 @@ unconverged after MAX_OUTER_ITERS rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import warnings
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .data import NONZERO_TOL, as_matrix, bcss_per_feature
+from .data import NONZERO_TOL, as_matrix, bcss_per_feature, cluster_stats
 from .errors import (AllNonPositiveBcss, DataError, NumericalError,
                      SparsityOutOfRange)
 from .kmeans import KmeansConfig, KmeansResult, run_kmeans
@@ -137,9 +138,44 @@ def l1_kmeans(m, cfg: SparseKmeansConfig, path: tuple = ()) -> SparseKmeansResul
     return sparse_kmeans(m, cfg, path)
 
 
-def sparse_kmeans(m, cfg: SparseKmeansConfig, path: tuple = ()) -> SparseKmeansResult:
+def _shared_first_step(x, w, cfg: KmeansConfig, path: tuple,
+                       memo: dict) -> KmeansResult:
+    """run_kmeans(x, w, cfg, path) for a first outer step, fitted once per
+    memo key (path, cfg) and handed to the next caller with that key.
+
+    A miss fits, re-emits the warnings the fit raised and stores its
+    labels, counters and those warnings. A hit pops the entry, re-emits
+    the warnings in order and rebuilds the centroids from x as _best_fit
+    does, so the result has the bits of a fresh fit. The caller keeps one
+    memo per source matrix (see gap.py)."""
+    key = (path, astuple(cfg))
+    if key in memo:
+        labels, wcss, iters, restart, repairs, caught = memo.pop(key)
+        for category, message in caught:
+            warnings.warn(message, category)
+        counts, sums = cluster_stats(x, labels, cfg.k)
+        return KmeansResult(labels=labels, centroids=sums / counts[:, None],
+                            wcss=wcss, iters_used=iters,
+                            restart_index=restart, repairs=repairs)
+    with warnings.catch_warnings(record=True) as wlist:
+        warnings.simplefilter("always")
+        fit = run_kmeans(x, w, cfg, path=path)
+    caught = [(item.category, str(item.message)) for item in wlist]
+    for category, message in caught:
+        warnings.warn(message, category)
+    memo[key] = (fit.labels, fit.wcss, fit.iters_used, fit.restart_index,
+                 fit.repairs, caught)
+    return fit
+
+
+def sparse_kmeans(m, cfg: SparseKmeansConfig, path: tuple = (), *,
+                  _memo: dict | None = None) -> SparseKmeansResult:
     """The alternation of either method (see the module docstring); path
-    extends the RNG stream names of the inner k-means fits."""
+    extends the RNG stream names of the inner k-means fits.
+
+    _memo, private, shares the first outer step between fits of one
+    matrix: that step uses the uniform weights and the stream (*path, 1),
+    neither of which depends on s or the method."""
     m = as_matrix(m)
     n, p = m.shape
     cfg.validated(n, p)
@@ -148,8 +184,12 @@ def sparse_kmeans(m, cfg: SparseKmeansConfig, path: tuple = ()) -> SparseKmeansR
     update = l0_weight_update if cfg.method == "l0" else l1_weight_update
     for outer in range(1, MAX_OUTER_ITERS + 1):
         active = np.flatnonzero(w > NONZERO_TOL)
-        inner = run_kmeans(m[:, active], w[active], cfg.inner,
-                           path=(*path, outer))
+        if outer == 1 and _memo is not None:
+            inner = _shared_first_step(m[:, active], w[active], cfg.inner,
+                                       (*path, 1), _memo)
+        else:
+            inner = run_kmeans(m[:, active], w[active], cfg.inner,
+                               path=(*path, outer))
         a = bcss_per_feature(m, inner.labels, cfg.inner.k)
         w_new = update(a, cfg.s)
         # the uniform start (outer 1) is in neither feasible set

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -407,6 +408,22 @@ def test_evaluate_rejects_non_integer_labels(tmp_path, capsys, path_name,
     assert not (tmp_path / "x.manifest.json").exists()
 
 
+@pytest.mark.parametrize("bad", [True, "0.5", False, None, float("nan")],
+                         ids=["true", "text", "false", "null", "nan"])
+def test_evaluate_rejects_non_number_weights(tmp_path, capsys, bad):
+    # a cast alone reads true as 1.0, "0.5" as 0.5 and null as nan
+    _, truth_path = make_signal_csv(tmp_path)
+    result_path = tmp_path / "res.json"
+    result_path.write_text(json.dumps({"assignments": [0] * 30,
+                                       "weights": [1.0] * 24 + [bad]}))
+    assert main(["evaluate", "--result", str(result_path),
+                 "--truth", str(truth_path),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert f"{result_path}: weights is not a flat list of float values" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "x.manifest.json").exists()
+
+
 def test_evaluate_reads_integral_floats_as_integers(tmp_path):
     _, truth_path = make_signal_csv(tmp_path)
     labels = json.loads(truth_path.read_text())["labels"]
@@ -476,6 +493,68 @@ def test_experiment_e3_small(tmp_path):
     long_rows = (outdir / "long.csv").read_text().strip().splitlines()
     assert long_rows[0] == "cell,rep,metric,value"
     assert len(long_rows) > 10
+
+
+def assert_same_bits(a, b, where="result"):
+    """a and b equal field by field, every array bit for bit."""
+    assert type(a) is type(b), where
+    if dataclasses.is_dataclass(a):
+        for field in dataclasses.fields(a):
+            assert_same_bits(getattr(a, field.name), getattr(b, field.name),
+                             f"{where}.{field.name}")
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == \
+            (b.dtype, b.shape, b.tobytes()), where
+    else:
+        assert repr(a) == repr(b), where   # repr tells -0.0 and nan apart
+
+
+def experiment_fits(monkeypatch, threads, memo=True, reps=2):
+    """run_experiment_cell on a small E3a cell: its records and every gap
+    profile and final fit it made, in call order. memo=False drops the
+    shared first steps, so every fit is made afresh."""
+    made = []
+    with monkeypatch.context() as patch:
+        for name in ("gap_statistic", "sparse_kmeans"):
+            def recorded(*args, _fn=getattr(cli, name), **kwargs):
+                if not memo:
+                    kwargs.pop("_memo")
+                result = _fn(*args, **kwargs)
+                made.append(result)
+                return result
+            patch.setattr(cli, name, recorded)
+        records = cli.run_experiment_cell("E3a", {}, reps=reps, seed=5,
+                                          restarts=2, tune_restarts=1, b=2,
+                                          threads=threads)
+    return records, made
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_experiment_shared_first_steps_same_bits(monkeypatch, threads):
+    records, made = experiment_fits(monkeypatch, threads)
+    fresh_records, fresh = experiment_fits(monkeypatch, threads, memo=False)
+    assert records == fresh_records
+    assert len(made) == len(fresh) == 2 * 2 * 2   # reps x methods x calls
+    for i, (shared, alone) in enumerate(zip(made, fresh)):
+        assert_same_bits(shared, alone, f"call {i}")
+
+
+def test_experiment_shares_first_steps_once_per_rep(monkeypatch):
+    b, reps = 2, 2
+    p = synth.experiment_spec("E3a", seed=0).p
+    shared = min(gap.default_grid("l0", p).size,
+                 gap.default_grid("l1", p).size)
+    calls = []
+    monkeypatch.setattr(sparse, "run_kmeans",
+                        lambda *a, _fn=sparse.run_kmeans, **kw:
+                        calls.append(1) or _fn(*a, **kw))
+    fits = []
+    for memo in (True, False):
+        calls.clear()
+        experiment_fits(monkeypatch, threads=1, memo=memo, reps=reps)
+        fits.append(len(calls))
+    # each shared grid index's real and null cells, and the final fit
+    assert fits[1] - fits[0] == reps * (shared * (1 + b) + 1)
 
 
 @pytest.mark.parametrize("flag, value", [("--reps", "0"),

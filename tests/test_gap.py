@@ -8,11 +8,12 @@ import pytest
 
 import sparsekm.gap as gap_mod
 from sparsekm._rng import rng_for, spawn_seed
-from sparsekm.errors import (DegenerateData, NonPositiveObjective,
+from sparsekm.errors import (DataError, DegenerateData, NonPositiveObjective,
                              NumericalError, SparsityOutOfRange, UsageError)
 from sparsekm.gap import (GapProfile, default_grid, gap_statistic,
                           permute_columns)
 from sparsekm.kmeans import KmeansConfig
+from sparsekm.sparse import SparseKmeansConfig, sparse_kmeans
 from sparsekm.synth import MixtureSpec, generate
 from sparsekm.data import standardize
 
@@ -269,6 +270,44 @@ def test_gap_dropped_points_warn_in_grid_order(monkeypatch):
     assert (argmax.chosen_s, one_se.chosen_s) == (5.0, 2.0)
 
 
+def _bool_checks():
+    m = np.random.default_rng(33).normal(size=(10, 4))
+    grid = np.array([2.0])
+    return {
+        "rng_for": (UsageError, "seed", lambda v: rng_for(v)),
+        "k": (DataError, "k",
+              lambda v: KmeansConfig(k=v, restarts=2).validated(5)),
+        "restarts": (DataError, "restarts",
+                     lambda v: KmeansConfig(k=2, restarts=v).validated(5)),
+        "b": (UsageError, "b",
+              lambda v: gap_statistic(m, "l0", cfg(k=2), grid=grid, b=v)),
+        "threads": (UsageError, "threads",
+                    lambda v: gap_statistic(m, "l0", cfg(k=2), grid=grid,
+                                            b=2, threads=v)),
+    }
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_],
+                         ids=["True", "False", "np.True_"])
+@pytest.mark.parametrize("target", list(_bool_checks()))
+def test_integer_fields_reject_bools(target, value):
+    # operator.index(True) is 1, so True used to pass as the integer 1
+    error, name, call = _bool_checks()[target]
+    with pytest.raises(error, match=f"^{name} must be an integer, "
+                                    f"got {value!r}$"):
+        call(value)
+
+
+def test_integer_fields_accept_numpy_integers():
+    m = np.random.default_rng(33).normal(size=(10, 4))
+    assert np.array_equal(rng_for(np.int64(3)).random(4),
+                          rng_for(3).random(4))
+    assert KmeansConfig(k=np.int32(2), restarts=np.int64(2)).validated(5)
+    prof = gap_statistic(m, "l0", cfg(k=2), grid=np.array([2.0]),
+                         b=np.int64(2), threads=np.int8(1))
+    assert prof.chosen_s == 2.0
+
+
 def test_gap_argument_validation():
     rng = np.random.default_rng(33)
     m = rng.normal(size=(10, 4))
@@ -324,6 +363,51 @@ def recorded_warnings(threads):
         prof = gap_statistic(two_row_matrix(), "l0", cfg(seed=1), b=2,
                              grid=np.array([2.0, 3.0]), threads=threads)
     return prof, [(w.category, str(w.message)) for w in caught]
+
+
+def two_method_warnings(threads, memo):
+    """Warnings of an l0 and then an l1 gap table and final fit on one
+    matrix, with duplicate rows, sharing first steps through memo or not."""
+    m = two_row_matrix()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for method, grid in (("l0", [2.0, 3.0]), ("l1", [1.2, 1.5, 1.9])):
+            gap_statistic(m, method, cfg(seed=1), grid=np.array(grid), b=2,
+                          threads=threads, _memo=memo)
+            sparse_kmeans(m, SparseKmeansConfig(
+                s=grid[0], method=method, inner=cfg(seed=2)), _memo=memo)
+    return [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_shared_first_steps_warn_as_fresh_fits(threads):
+    alone = two_method_warnings(threads, memo=None)
+    assert {category for category, _ in alone} == {DegenerateData}
+    memo = {}
+    assert two_method_warnings(threads, memo) == alone
+    # l1 took the first steps of grid indices 0 and 1 and of the final fit;
+    # its index 2 is left
+    assert [key[0] for key in memo] == [(gap_mod._REAL, 2, 1),
+                                        (gap_mod._NULL, 2, 0, 1),
+                                        (gap_mod._NULL, 2, 1, 1)]
+
+
+def test_pool_sends_first_steps_back():
+    m = two_row_matrix()
+    memos = []
+    for threads in (1, 2):
+        memos.append({})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateData)
+            gap_statistic(m, "l0", cfg(seed=1), grid=np.array([2.0, 3.0]),
+                          b=2, threads=threads, _memo=memos[-1])
+    inline, pooled = memos
+    assert len(inline) == 2 * (1 + 2)
+    assert list(pooled) == list(inline)
+    for key, entry in inline.items():
+        labels, *counters, caught = entry
+        assert np.array_equal(pooled[key][0], labels)
+        assert pooled[key][1:] == (*counters, caught)
 
 
 def test_pool_workers_capped_at_job_count(monkeypatch):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sparsekm.errors import DataError, IndexOutOfRange, LengthMismatch
+from sparsekm.errors import (DataError, IndexOutOfRange, LengthMismatch,
+                             NonFiniteInput)
 from sparsekm.metrics import (cer, confusion_proportions, contingency, ecr,
                               feature_counts, purity)
 
@@ -157,6 +158,27 @@ def test_feature_counts_tiny_weights_are_zero():
 def test_feature_counts_needs_1d_weights(shape):
     with pytest.raises(DataError, match="1-dimensional"):
         feature_counts(np.ones(shape), [0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_feature_counts_rejects_non_finite_weights(bad):
+    # a NaN weight used to count as zero
+    with pytest.raises(NonFiniteInput, match="NaN or infinity"):
+        feature_counts([bad, 1.0, 0.0], [0])
+
+
+@pytest.mark.parametrize("support", [[0.7], [1, 0.5], [np.nan], [True],
+                                     ["0"]])
+def test_feature_counts_rejects_non_integral_support(support):
+    # a cast alone truncates 0.7 to index 0
+    with pytest.raises(DataError, match="support indices must be integers"):
+        feature_counts([0.5, 1.0], support)
+
+
+def test_feature_counts_accepts_integral_float_support():
+    assert feature_counts([0.5, 0.0, 1.0], [0.0, 1.0]) == \
+        feature_counts([0.5, 0.0, 1.0], [0, 1]) == (2, 0, 1)
+    assert feature_counts([0.5, 0.0], []) == (1, 1, 0)
 
 
 def test_feature_counts_index_error():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sparsekm import kmeans, sparse
+from sparsekm import cli, kmeans, sparse
 from sparsekm.kmeans import KmeansConfig
 from sparsekm.sparse import SparseKmeansConfig
 
@@ -58,3 +58,22 @@ def test_fit_goes_through_traced_names(monkeypatch):
     assert calls == {"run_kmeans": result.outer_iters,
                      "bcss_per_feature": result.outer_iters,
                      "rng_for": restarts * result.outer_iters}
+
+
+def test_experiment_cell_calls_recorded_names_once_per_method(monkeypatch):
+    """The benchmark's e2_cell keys the outputs of cli.gap_statistic and
+    cli.sparse_kmeans by the method in their second argument (gap_l0,
+    fit_l1, ...), so a rep makes one call of each per method, whatever it
+    shares between the two methods."""
+    seen = []
+    for name, method_of in (("gap_statistic", lambda arg: arg),
+                            ("sparse_kmeans", lambda arg: arg.method)):
+        def recorded(*args, _fn=getattr(cli, name), _name=name,
+                     _method_of=method_of, **kwargs):
+            seen.append((_name, _method_of(args[1])))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, recorded)
+    cli.run_experiment_cell("E3a", {}, reps=1, seed=1, restarts=2,
+                            tune_restarts=1, b=2, threads=1)
+    assert seen == [("gap_statistic", "l0"), ("sparse_kmeans", "l0"),
+                    ("gap_statistic", "l1"), ("sparse_kmeans", "l1")]

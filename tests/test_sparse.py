@@ -315,3 +315,26 @@ def test_l1_retains_more_features_than_l0():
             nw[method] = sparse_kmeans(xs, cfg).selected_features.size
         wins += nw["l1"] > nw["l0"]
     assert wins >= 8
+
+
+@pytest.mark.parametrize("refine", ["none", "swap"])
+def test_shared_first_step_hit_has_the_bits_of_a_fit(refine):
+    """A memo hit rebuilds the KmeansResult the miss fitted, centroids
+    included, and empties its entry."""
+    x = np.random.default_rng(35).normal(size=(30, 8))
+    x[:10, :2] += 3.0
+    active = np.arange(8)
+    x, w = x[:, active], np.full(8, 1.0 / np.sqrt(8))   # as sparse_kmeans
+    cfg = KmeansConfig(k=3, restarts=3, seed=6, refine=refine)
+    memo = {}
+    fitted = sparse._shared_first_step(x, w, cfg, (0, 2, 1), memo)
+    assert list(memo) == [((0, 2, 1), (3, 3, 6, refine))]
+    taken = sparse._shared_first_step(x, w, cfg, (0, 2, 1), memo)
+    assert memo == {}
+    fresh = run_kmeans(x, w, cfg, path=(0, 2, 1))
+    for result in (fitted, taken):
+        assert result.labels.tobytes() == fresh.labels.tobytes()
+        assert result.centroids.tobytes() == fresh.centroids.tobytes()
+        assert (result.wcss, result.iters_used, result.restart_index,
+                result.repairs) == (fresh.wcss, fresh.iters_used,
+                                    fresh.restart_index, fresh.repairs)
