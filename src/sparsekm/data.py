@@ -117,33 +117,18 @@ def _centroids(m, labels, k: int):
     return m, counts, sums / counts[:, None]
 
 
-def between_group_ss(m, labels, k: int) -> np.ndarray:
-    """Classical per-feature between-group sum of squares.
-
-    b_j = sum_k n_k (mean_kj - mean_j)^2, computed in O(np). This is the
-    centroid form; the public bcss_per_feature doubles it to match the
-    ordered-pair convention.
-    """
-    m, counts, centroids = _centroids(m, labels, k)
-    return counts @ (centroids - m.mean(axis=0)) ** 2
-
-
 def bcss_per_feature(m, labels, k: int) -> np.ndarray:
     """Per-feature between-cluster dispersion a_j (ordered-pair scale).
 
     a_j = (1/n) sum_{i,i'} d_{ii'j} - sum_k (1/n_k) sum_{i,i' in C_k} d_{ii'j}
-    with d_{ii'j} = (x_ij - x_i'j)^2 over ordered pairs; equals twice
-    between_group_ss. Tiny negatives from round-off are clamped to 0.
+    with d_{ii'j} = (x_ij - x_i'j)^2 over ordered pairs, computed in O(np)
+    as 2 sum_k n_k (mean_kj - mean_j)^2, twice the classical between-group
+    SS. Tiny negatives from round-off are clamped to 0.
     """
-    a = 2.0 * between_group_ss(m, labels, k)
+    m, counts, centroids = _centroids(m, labels, k)
+    a = 2.0 * (counts @ (centroids - m.mean(axis=0)) ** 2)
     a[(a < 0.0) & (a > -1e-9)] = 0.0
     return a
-
-
-def _within_group_ss(m, labels, k: int) -> np.ndarray:
-    """Classical per-feature within-group sum of squares."""
-    m, counts, centroids = _centroids(m, labels, k)
-    return (m**2).sum(axis=0) - counts @ centroids**2
 
 
 def weighted_wcss(m, labels, w, k: int) -> float:
@@ -154,7 +139,8 @@ def weighted_wcss(m, labels, w, k: int) -> float:
     """
     m = _as_2d(m)
     w = _as_weights(w, m.shape[1])
-    return float(2.0 * (w @ _within_group_ss(m, labels, k)))
+    m, counts, centroids = _centroids(m, labels, k)
+    return float(2.0 * (w @ ((m**2).sum(axis=0) - counts @ centroids**2)))
 
 
 def total_ss(m, w) -> float:

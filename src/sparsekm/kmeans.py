@@ -306,6 +306,16 @@ def _swap_refine(Y: np.ndarray, labels: np.ndarray, k: int):
     return np.array(lab, dtype=labels.dtype)
 
 
+def _fit_result(m, k: int, labels, wcss: float, iters_used: int,
+                restart_index: int, repairs: int) -> KmeansResult:
+    """The KmeansResult of a fit of m with these final labels: its
+    centroids are the unscaled cluster means of m."""
+    counts, sums = cluster_stats(m, labels, k)
+    return KmeansResult(labels=labels, centroids=sums / counts[:, None],
+                        wcss=wcss, iters_used=iters_used,
+                        restart_index=restart_index, repairs=repairs)
+
+
 def _best_fit(m, Y, starts, cfg: KmeansConfig) -> KmeansResult:
     """Fit from every start on Y (m pre-scaled); the lowest classical WCSS
     wins, the first on ties. No cluster is empty: Lloyd repairs empty ones
@@ -325,10 +335,8 @@ def _best_fit(m, Y, starts, cfg: KmeansConfig) -> KmeansResult:
         if best is None or wcss < best[1]:
             best = (labels, wcss, iters, r, repairs)
     labels, wcss, iters, r, repairs = best
-    counts, sums = cluster_stats(m, labels, cfg.k)
-    return KmeansResult(labels=labels, centroids=sums / counts[:, None],
-                        wcss=2.0 * max(wcss, 0.0), iters_used=iters,
-                        restart_index=r, repairs=repairs)
+    return _fit_result(m, cfg.k, labels, 2.0 * max(wcss, 0.0), iters, r,
+                       repairs)
 
 
 def lloyd_weighted(m, w, init_centroids, cfg: KmeansConfig) -> KmeansResult:

@@ -1,4 +1,4 @@
-"""Evaluation criteria: CER, purity/ECR, and feature-count summaries."""
+"""Evaluation criteria: CER, ECR, and feature-count summaries."""
 
 from __future__ import annotations
 
@@ -57,22 +57,12 @@ def cer(estimated, truth) -> float:
     return float(disagreements / (n * (n - 1) / 2))
 
 
-def confusion_proportions(truth, est) -> np.ndarray:
-    """pi[k, k'] = fraction of samples in true cluster k and estimated
-    cluster k'."""
-    tru, e = _check_pair(truth, est)
-    return contingency(tru, e) / tru.shape[0]
-
-
-def purity(estimated, truth) -> float:
-    pi = confusion_proportions(truth, estimated)
-    return float(pi.max(axis=0).sum())
-
-
 def ecr(estimated, truth) -> float:
     """1 - purity: the fraction left over after crediting each estimated
     cluster with its best-matching true cluster."""
-    return 1.0 - purity(estimated, truth)
+    est, tru = _check_pair(estimated, truth)
+    n = est.shape[0]
+    return 1.0 - float((contingency(tru, est) / n).max(axis=0).sum())
 
 
 class FeatureCounts(NamedTuple):
@@ -82,8 +72,8 @@ class FeatureCounts(NamedTuple):
 
 
 def feature_counts(w, support) -> FeatureCounts:
-    """Counts for finite weights w and support indices of integral value
-    (an integer, or a float such as 2.0)."""
+    """Counts for finite weights w and a flat list of distinct support
+    indices of integral value (an integer, or a float such as 2.0)."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
         raise DataError(f"weights must be 1-dimensional, got shape {w.shape}")
@@ -95,6 +85,8 @@ def feature_counts(w, support) -> FeatureCounts:
             or (given % 1 != 0).any():
         raise DataError("support indices must be integers")
     support = given.astype(int)
+    if support.ndim != 1 or np.unique(support).size != support.size:
+        raise DataError("support must be a flat list of distinct indices")
     if support.size and (support.min() < 0 or support.max() >= p):
         raise IndexOutOfRange(f"support indices must lie in [0, {p})")
     relevant = np.zeros(p, dtype=bool)

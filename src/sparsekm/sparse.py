@@ -23,10 +23,10 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .data import NONZERO_TOL, as_matrix, bcss_per_feature, cluster_stats
+from .data import NONZERO_TOL, as_matrix, bcss_per_feature
 from .errors import (AllNonPositiveBcss, DataError, NumericalError,
                      SparsityOutOfRange)
-from .kmeans import KmeansConfig, KmeansResult, run_kmeans
+from .kmeans import KmeansConfig, KmeansResult, _fit_result, run_kmeans
 
 METHODS = ("l0", "l1")
 OUTER_TOL = 1e-4
@@ -145,18 +145,15 @@ def _shared_first_step(x, w, cfg: KmeansConfig, path: tuple,
 
     A miss fits, re-emits the warnings the fit raised and stores its
     labels, counters and those warnings. A hit pops the entry, re-emits
-    the warnings in order and rebuilds the centroids from x as _best_fit
-    does, so the result has the bits of a fresh fit. The caller keeps one
-    memo per source matrix (see gap.py)."""
+    the warnings in order and builds the result from x through
+    kmeans._fit_result, as _best_fit does, so it has the bits of a fresh
+    fit. The caller keeps one memo per source matrix (see gap.py)."""
     key = (path, astuple(cfg))
     if key in memo:
-        labels, wcss, iters, restart, repairs, caught = memo.pop(key)
+        *fields, caught = memo.pop(key)
         for category, message in caught:
             warnings.warn(message, category)
-        counts, sums = cluster_stats(x, labels, cfg.k)
-        return KmeansResult(labels=labels, centroids=sums / counts[:, None],
-                            wcss=wcss, iters_used=iters,
-                            restart_index=restart, repairs=repairs)
+        return _fit_result(x, cfg.k, *fields)
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
         fit = run_kmeans(x, w, cfg, path=path)

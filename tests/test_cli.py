@@ -424,6 +424,22 @@ def test_evaluate_rejects_non_number_weights(tmp_path, capsys, bad):
     assert not (tmp_path / "x.manifest.json").exists()
 
 
+def test_evaluate_rejects_repeated_support(tmp_path, capsys):
+    _, truth_path = make_signal_csv(tmp_path)
+    truth = json.loads(truth_path.read_text())
+    truth["support"] = [0, 0]
+    truth_path.write_text(json.dumps(truth))
+    result_path = tmp_path / "res.json"
+    result_path.write_text(json.dumps({"assignments": truth["labels"],
+                                       "weights": [1.0] * 25}))
+    assert main(["evaluate", "--result", str(result_path),
+                 "--truth", str(truth_path),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "support must be a flat list of distinct indices" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "x.manifest.json").exists()
+
+
 def test_evaluate_reads_integral_floats_as_integers(tmp_path):
     _, truth_path = make_signal_csv(tmp_path)
     labels = json.loads(truth_path.read_text())["labels"]

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from sparsekm._rng import rng_for
-from sparsekm.data import (as_matrix, bcss_per_feature, between_group_ss,
-                           cluster_stats, read_csv_matrix, standardize,
-                           total_ss, weighted_wcss, write_csv_matrix,
-                           write_csv_rows)
+from sparsekm.data import (_as_2d, _as_weights, _centroids, as_matrix,
+                           bcss_per_feature, cluster_stats, read_csv_matrix,
+                           standardize, total_ss, weighted_wcss,
+                           write_csv_matrix, write_csv_rows)
 from sparsekm.errors import DataError, EmptyCluster, NonFiniteInput
 
 
@@ -26,6 +26,31 @@ def eq4_bruteforce(x, labels, k):
             within += d[np.ix_(idx, idx)].sum() / idx.size
         a[j] = total - within
     return a
+
+
+def between_group_ss_reference(m, labels, k):
+    """The centroid form sum_k n_k (mean_kj - mean_j)^2 that the package
+    once exported as between_group_ss, and doubled for bcss_per_feature."""
+    m, counts, centroids = _centroids(m, labels, k)
+    return counts @ (centroids - m.mean(axis=0)) ** 2
+
+
+def bcss_reference(m, labels, k):
+    a = 2.0 * between_group_ss_reference(m, labels, k)
+    a[(a < 0.0) & (a > -1e-9)] = 0.0
+    return a
+
+
+def within_group_ss_reference(m, labels, k):
+    """The per-feature within-group SS helper weighted_wcss once called."""
+    m, counts, centroids = _centroids(m, labels, k)
+    return (m**2).sum(axis=0) - counts @ centroids**2
+
+
+def weighted_wcss_reference(m, labels, w, k):
+    m = _as_2d(m)
+    w = _as_weights(w, m.shape[1])
+    return float(2.0 * (w @ within_group_ss_reference(m, labels, k)))
 
 
 def random_partition(rng, n, k):
@@ -98,9 +123,12 @@ class TestBcss:
             n, p, k = 10, 4, 3
             x = rng.standard_normal((n, p))
             labels = random_partition(rng, n, k)
+            classical = sum(
+                (labels == c).sum() * (x[labels == c].mean(axis=0)
+                                       - x.mean(axis=0)) ** 2
+                for c in range(k))
             assert np.allclose(bcss_per_feature(x, labels, k),
-                               2.0 * between_group_ss(x, labels, k),
-                               rtol=1e-9)
+                               2.0 * classical, rtol=1e-9)
 
     def test_empty_cluster(self):
         with pytest.raises(EmptyCluster):
@@ -126,9 +154,32 @@ class TestBcss:
         vals = np.empty(draws)
         for t in range(draws):
             labels = random_partition(rng, n, k)
-            vals[t] = between_group_ss(col, labels, k)[0]
+            # halving is exact, so this is the classical value bit for bit
+            vals[t] = bcss_per_feature(col, labels, k)[0] / 2
         se = vals.std(ddof=1) / np.sqrt(draws)
         assert abs(vals.mean() - (k - 1)) < 3 * se
+
+
+def test_ss_bits_match_reference():
+    """bcss_per_feature and weighted_wcss give the bits of the helpers they
+    absorbed, on C- and F-ordered matrices whose columns span six decades
+    of magnitude."""
+    rng = rng_for(15)
+    for trial in range(300):
+        n = int(rng.integers(2, 41))
+        p = int(rng.integers(1, 9))
+        k = int(rng.integers(1, min(n, 6) + 1))
+        scale = 10.0 ** rng.uniform(-3, 3, size=p)
+        x = (rng.standard_normal((n, p)) + rng.normal(size=p)) * scale
+        if trial % 2:
+            x = np.asfortranarray(x)
+        labels = random_partition(rng, n, k)
+        w = rng.uniform(0, 2, size=p)
+        assert np.array_equal(
+            bcss_per_feature(x, labels, k).view(np.int64),
+            bcss_reference(x, labels, k).view(np.int64))
+        assert np.float64(weighted_wcss(x, labels, w, k)).view(np.int64) == \
+            np.float64(weighted_wcss_reference(x, labels, w, k)).view(np.int64)
 
 
 class TestWcss:
@@ -335,7 +386,6 @@ def test_as_matrix_shape_checks():
 
 @pytest.mark.parametrize("fn, args", [
     (bcss_per_feature, ([0, 1, 0, 1], 2)),
-    (between_group_ss, ([0, 1, 0, 1], 2)),
     (weighted_wcss, ([0, 1, 0, 1], [1.0], 2)),
     (total_ss, (np.ones(1),)),
 ], ids=lambda v: getattr(v, "__name__", ""))
@@ -356,7 +406,6 @@ def test_ss_helpers_need_one_weight_per_column(fn, args):
 
 @pytest.mark.parametrize("fn, args", [
     (bcss_per_feature, ([], 2)),
-    (between_group_ss, ([], 2)),
     (weighted_wcss, ([], np.ones(3), 2)),
 ], ids=lambda v: getattr(v, "__name__", ""))
 def test_ss_helpers_reject_zero_rows(fn, args):

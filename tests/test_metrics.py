@@ -3,8 +3,7 @@ import pytest
 
 from sparsekm.errors import (DataError, IndexOutOfRange, LengthMismatch,
                              NonFiniteInput)
-from sparsekm.metrics import (cer, confusion_proportions, contingency, ecr,
-                              feature_counts, purity)
+from sparsekm.metrics import cer, contingency, ecr, feature_counts
 
 
 def cer_bruteforce(est, tru):
@@ -60,6 +59,18 @@ def test_cer_errors():
         cer(np.ones((2, 2)), np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("est, truth, message", [
+    ([1, 2], [1, 2, 3], "disagree on n: 2 vs 3"),
+    ([1], [1], "at least 2 samples"),
+    (np.ones((2, 2)), np.ones((2, 2)), "estimated must be 1-dimensional"),
+    ([0, 1, 0, 1], [[0, 1], [0, 1]], "truth must be 1-dimensional"),
+], ids=["sizes", "one-sample", "both-2d", "truth-2d"])
+def test_ecr_errors_match_cer(est, truth, message):
+    for fn in (cer, ecr):
+        with pytest.raises(LengthMismatch, match=message):
+            fn(est, truth)
+
+
 # ------------------------------------------------------------------- ecr
 
 def test_ecr_zero_on_truth():
@@ -69,7 +80,6 @@ def test_ecr_zero_on_truth():
 
 
 def test_ecr_frozen_examples():
-    assert purity([1, 2, 1, 2], [1, 1, 2, 2]) == pytest.approx(0.5)
     assert ecr([1, 2, 1, 2], [1, 1, 2, 2]) == pytest.approx(0.5)
     one_big = np.zeros(8, dtype=int)
     balanced = np.repeat(np.arange(4), 2)
@@ -91,13 +101,32 @@ def test_confusion_marginals():
     rng = np.random.default_rng(43)
     tru = rng.integers(0, 3, size=50)
     est = rng.integers(0, 4, size=50)
-    pi = confusion_proportions(tru, est)
+    pi = contingency(tru, est) / 50
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
     assert (pi >= 0).all()
     true_ids, true_counts = np.unique(tru, return_counts=True)
     assert pi.sum(axis=1) == pytest.approx(true_counts / 50)
     est_ids, est_counts = np.unique(est, return_counts=True)
     assert pi.sum(axis=0) == pytest.approx(est_counts / 50)
+
+
+def ecr_reference(estimated, truth):
+    """ecr as 1 - purity through the confusion proportions, the form the
+    package once computed it in."""
+    tru, est = np.asarray(truth), np.asarray(estimated)
+    pi = contingency(tru, est) / tru.shape[0]
+    return 1.0 - float(pi.max(axis=0).sum())
+
+
+def test_ecr_bits_match_reference():
+    rng = np.random.default_rng(45)
+    for _ in range(500):
+        n = int(rng.integers(2, 200))
+        est = rng.integers(0, int(rng.integers(1, 7)), size=n)
+        ids = [-2, 0, 3, 8, 11, 40][:int(rng.integers(1, 7))]
+        tru = rng.choice(ids, size=n)
+        assert np.float64(ecr(est, tru)).view(np.int64) == \
+            np.float64(ecr_reference(est, tru)).view(np.int64)
 
 
 def test_contingency_matches_double_loop():
@@ -173,6 +202,15 @@ def test_feature_counts_rejects_non_integral_support(support):
     # a cast alone truncates 0.7 to index 0
     with pytest.raises(DataError, match="support indices must be integers"):
         feature_counts([0.5, 1.0], support)
+
+
+@pytest.mark.parametrize("support", [[[0], [2]], [0, 0, 0], [2, 0.0, 2.0],
+                                     np.int64(1)],
+                         ids=["2d", "repeated", "repeated-float", "scalar"])
+def test_feature_counts_rejects_support_not_flat_and_distinct(support):
+    # pzw <= p - len(support) holds only for a flat list of distinct indices
+    with pytest.raises(DataError, match="flat list of distinct indices"):
+        feature_counts([1.0, 0.0, 1.0], support)
 
 
 def test_feature_counts_accepts_integral_float_support():
