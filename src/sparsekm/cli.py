@@ -6,8 +6,8 @@ evaluate takes --seed and is fully deterministic given it; tune and
 experiment take --threads, the number of worker processes the gap table
 runs on (default 1), which only changes wall time, never output bytes or
 warnings. Each cmd_* function writes its outputs and returns (manifest
-path, outputs, warnings); main times the command and writes every
-manifest from that.
+path, outputs, notes); main times the command, records the warnings it
+raises, writes every manifest from that and raises the warnings again.
 Exit codes: 0 success, 1 usage, 2 data error, 3 numerical failure.
 """
 
@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-import warnings
 
 import numpy as np
 
@@ -27,10 +26,11 @@ from . import __version__
 from ._rng import spawn_seed
 from .data import bcss_per_feature, read_csv_matrix, standardize, \
     write_csv_matrix, write_csv_rows
-from .errors import DataError, SparsekmError, UsageError
+from .errors import DataError, SparsekmError, UsageError, record_warnings, \
+    replay_warnings
 from .gap import gap_statistic
 from .kmeans import REFINE_MODES, KmeansConfig, run_kmeans
-from .lab import sweep
+from .lab import MIN_TRIALS, sweep
 from .metrics import cer, ecr, feature_counts
 from .sparse import METHODS, SparseKmeansConfig, SparseKmeansResult, \
     sparse_kmeans
@@ -153,16 +153,14 @@ def cmd_tune(args):
     # without --grid, gap_statistic picks its default grid
     grid = None if args.grid is None else \
         _parse_list(args.grid, float, "--grid")
-    with warnings.catch_warnings(record=True) as wlist:
-        warnings.simplefilter("always")
-        profile = gap_statistic(x, args.method, inner, grid=grid,
-                                b=args.permutations, one_se=args.one_se,
-                                threads=args.threads or 1)
-        caught = [str(w.message) for w in wlist]
+    profile = gap_statistic(x, args.method, inner, grid=grid,
+                            b=args.permutations, one_se=args.one_se,
+                            threads=args.threads or 1)
+    notes = []
     at = int(np.flatnonzero(profile.grid == profile.chosen_s)[0])
     if profile.gap[at] <= 2.0 * profile.se[at]:
-        caught.append(f"gap profile is flat: best gap {profile.gap[at]:.4g} "
-                      f"is within 2 standard errors of 0")
+        notes.append(f"gap profile is flat: best gap {profile.gap[at]:.4g} "
+                     f"is within 2 standard errors of 0")
     csv_path = f"{args.out}.gap.csv"
     json_path = f"{args.out}.chosen.json"
     profile.to_csv(csv_path)
@@ -176,14 +174,22 @@ def cmd_tune(args):
         _write_json(fit_path, _fit_payload(result, args.method,
                                            profile.chosen_s))
         outputs.append(fit_path)
-    return f"{args.out}.manifest.json", outputs, caught
+    return f"{args.out}.manifest.json", outputs, notes
+
+
+def _is_number(value, dtype) -> bool:
+    """value is a finite JSON number, not a bool or a string, and of
+    integral value if dtype is int."""
+    try:
+        return (type(value) in (int, float) and math.isfinite(value)
+                and (dtype is float or float(value).is_integer()))
+    except OverflowError:
+        return False
 
 
 def _load_json(path, **dtypes):
-    """Each key named in dtypes, read from a JSON object as a 1-D array.
-
-    Every value must be a finite JSON number, not a bool or a string, and
-    of integral value for an int key."""
+    """The JSON object at path, with each key named in dtypes read as a
+    1-D array of that dtype, whose every value passes _is_number."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -195,29 +201,34 @@ def _load_json(path, **dtypes):
         raise DataError(f"{path}: invalid JSON: {exc}")
     if not isinstance(payload, dict):
         raise DataError(f"{path}: not a JSON object")
-    arrays = {}
     for key, dtype in dtypes.items():
         if key not in payload:
             raise DataError(f"{path}: missing key {key!r}")
         values = payload[key]
         try:
             if not isinstance(values, list) or not all(
-                    type(v) in (int, float) and math.isfinite(v)
-                    and (dtype is float or float(v).is_integer())
-                    for v in values):
+                    _is_number(v, dtype) for v in values):
                 raise ValueError
-            arrays[key] = np.asarray(values, dtype=dtype)
+            payload[key] = np.asarray(values, dtype=dtype)
         except (ValueError, OverflowError):
             raise DataError(f"{path}: {key} is not a flat list of "
                             f"{dtype.__name__} values")
-    return arrays
+    return payload
 
 
 def cmd_evaluate(args):
     result = _load_json(args.result, assignments=int, weights=float)
     truth = _load_json(args.truth, labels=int, support=int)
+    spec = truth.get("spec")
+    p = spec.get("p") if isinstance(spec, dict) else None
+    if not _is_number(p, int):
+        raise DataError(f"{args.truth}: spec.p is not an integer")
+    weights = result["weights"]
+    if weights.size != p:
+        raise DataError(f"{args.result}: {weights.size} weights, but "
+                        f"{args.truth} has spec.p = {int(p)} features")
     est, tru = result["assignments"], truth["labels"]
-    counts = feature_counts(result["weights"], truth["support"])
+    counts = feature_counts(weights, truth["support"])
     payload = {"cer": cer(est, tru), "ecr": ecr(est, tru),
                "nw": counts.nw, "pzw": counts.pzw, "pnw": counts.pnw}
     json_path = f"{args.out}.metrics.json"
@@ -254,10 +265,10 @@ def run_experiment_cell(cell_id, params, reps, seed, restarts, tune_restarts,
     uniform weights 1/sqrt(p) and the RNG path (*path, 1), which name
     neither s nor the method, and the two gap tables fit the same xs, the
     same nulls and the same tune config. So every l1 gap cell whose grid
-    index the l0 grid also has, and the l1 final fit, reuse the l0 fit
-    with the same path and config instead of refitting it, bit for bit
-    (see gap.py). Each method still makes one gap_statistic call and one
-    sparse_kmeans call, with the method in its second argument.
+    index the l0 grid also has, and the l1 final fit, rebuild the l0 fit
+    with the same path and config from the memo instead of refitting it,
+    bit for bit (see gap.py). Each method still makes one gap_statistic
+    call and one sparse_kmeans call, with the method in its second argument.
     """
     records = []
     for rep in range(reps):
@@ -366,7 +377,7 @@ def build_parser() -> _Parser:
     out.add_argument("--out", required=True)
     mu_p = argparse.ArgumentParser(add_help=False)
     mu_p.add_argument("--mu", type=float, default=None)
-    mu_p.add_argument("--p", type=int, default=None)
+    mu_p.add_argument("--p", type=count, default=None)
     fit_inputs = argparse.ArgumentParser(add_help=False)
     fit_inputs.add_argument("--input", required=True)
     fit_inputs.add_argument("--k", type=count, required=True)
@@ -419,9 +430,9 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("sweep", parents=[mu_p, out, seed],
                         help="trial frequencies across n")
-    sp.add_argument("--p-star", type=int, default=None)
+    sp.add_argument("--p-star", type=count, default=None)
     sp.add_argument("--n-list", default="30,60,120")
-    sp.add_argument("--trials", type=int, default=50)
+    sp.add_argument("--trials", type=_int_at_least(MIN_TRIALS), default=50)
     sp.set_defaults(func=cmd_sweep)
     return parser
 
@@ -430,7 +441,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         started = time.monotonic()
-        path, outputs, warnings_seen = args.func(args)
+        (path, outputs, notes), caught = record_warnings(args.func, args)
         _write_json(path, {
             "command": args.command,
             "config": {k: v for k, v in sorted(vars(args).items())
@@ -439,8 +450,9 @@ def main(argv=None) -> int:
             "version": __version__,
             "duration_s": round(time.monotonic() - started, 3),
             "outputs": [str(o) for o in outputs],
-            "warnings": list(warnings_seen),
+            "warnings": [message for _, message in caught] + list(notes),
         })
+        replay_warnings(caught)
         return 0
     except SparsekmError as exc:
         print(f"sparsekm: error: {exc}", file=sys.stderr)

@@ -1,10 +1,11 @@
-"""Exception and warning types shared across the package.
+"""Exception and warning types shared across the package, and its recorder.
 
 Every error carries an exit_code so the command line can map failure
 classes to process exit statuses: 1 usage, 2 data, 3 numerical.
 """
 
 import operator
+import warnings
 
 
 def check_integer(name: str, value, error: type) -> int:
@@ -17,6 +18,28 @@ def check_integer(name: str, value, error: type) -> int:
         return operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
+
+
+def record_warnings(fn, *args):
+    """fn(*args) and every warning it raised as (category, message) pairs,
+    in order; if fn fails, they are raised again before its error."""
+    with warnings.catch_warnings(record=True) as wlist:
+        warnings.simplefilter("always")
+        try:
+            value, error = fn(*args), None
+        except BaseException as exc:
+            error = exc
+    caught = [(w.category, str(w.message)) for w in wlist]
+    if error is not None:
+        replay_warnings(caught)
+        raise error
+    return value, caught
+
+
+def replay_warnings(caught) -> None:
+    """Raise recorded (category, message) pairs again, in order."""
+    for category, message in caught:
+        warnings.warn(message, category)
 
 
 class SparsekmError(Exception):

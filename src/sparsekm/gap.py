@@ -22,16 +22,14 @@ l1 tables of an experiment rep fit the same matrix, the same nulls
 (null t follows from inner.seed) and the same inner config. A cell's
 first step uses the uniform weights 1/sqrt(p) on every feature and the
 stream (_REAL, i, 1) or (_NULL, i, t, 1), which names neither s nor the
-method. So sparse_kmeans keys that step on (path, inner config): the first
-table fits it and stores its labels, WCSS, counters and warnings; the
-second table, at each grid index both grids have, takes the entry instead
-of refitting, re-emits the warnings and recomputes the centroids from the
-labels as k-means does, so every bit of its profile is that of a fresh
-run. The key holds no matrix bytes: the path tag tells the real data from
-a null, and the caller's one-memo-per-matrix rule does the rest. Pooled
-workers send back, with each objective, the first step they fitted and
-the key of the one they took, and the parent applies both to its memo,
-so a later pool inherits the filled memo at fork.
+method. So sparse_kmeans keys that step on (path, inner config) and fits
+it once; every later fit with that key, at a grid index both grids have,
+rebuilds it from the stored labels, counters and warnings, with the bits
+of a fresh run. Entries are never removed, and the key holds no matrix
+bytes: the path tag tells the real data from a null, and the caller's
+one-memo-per-matrix rule does the rest. Pooled workers send back the
+entries they added with each objective, so a later pool inherits the
+filled memo at fork.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import numpy as np
 
 from ._rng import rng_for, spawn_seed
 from .errors import (NonPositiveObjective, NumericalError, UsageError,
-                     check_integer)
+                     check_integer, record_warnings, replay_warnings)
 from .data import as_matrix, write_csv_rows
 from .kmeans import KmeansConfig
 from .sparse import SparseKmeansConfig, sparse_kmeans
@@ -89,7 +87,7 @@ def default_grid(method: str, p: int) -> np.ndarray:
     raise UsageError(f"unknown method {method!r}")
 
 
-def _objective(m, s, method, inner, path, memo=None) -> float:
+def _objective(m, s, method, inner, path, memo) -> float:
     cfg = SparseKmeansConfig(s=float(s), method=method, inner=inner)
     return sparse_kmeans(m, cfg, path=path, _memo=memo).objective
 
@@ -98,9 +96,8 @@ def _cell(table, job) -> float:
     """The objective of cell (i, t): the real data at t = -1, else null t."""
     m, nulls, grid, method, inner, memo = table
     i, t = job
-    args = ((m, grid[i], method, inner, (_REAL, i)) if t < 0 else
-            (nulls[t], grid[i], method, inner, (_NULL, i, t)))
-    return _objective(*args) if memo is None else _objective(*args, memo)
+    matrix, path = (m, (_REAL, i)) if t < 0 else (nulls[t], (_NULL, i, t))
+    return _objective(matrix, grid[i], method, inner, path, memo)
 
 
 _worker_table = None  # the table a forked pool worker was started with
@@ -112,24 +109,17 @@ def _init_worker(*table) -> None:
 
 
 def _worker_cell(job):
-    memo = _worker_table[-1]
-    known = set(memo or ())
-    with warnings.catch_warnings(record=True) as wlist:
-        warnings.simplefilter("always")
-        value = _cell(_worker_table, job)
-    caught = [(w.category, str(w.message)) for w in wlist]
-    if memo is None:
-        return value, caught, {}, ()
-    # the first step this job fitted, or the key of the one it took
-    return (value, caught, {key: memo[key] for key in memo.keys() - known},
-            known - memo.keys())
+    """A pooled cell's objective, warnings and new (so last) memo entries."""
+    memo = {} if _worker_table[-1] is None else _worker_table[-1]
+    known = len(memo)
+    value, caught = record_warnings(_cell, _worker_table, job)
+    return value, caught, dict(list(memo.items())[known:])
 
 
 def _pool_map(table, jobs, workers):
     """Objectives of jobs in order, from forked workers; their warnings are
-    re-emitted here in job order, as an inline run emits them. With a
-    memo, the parent's copy changes as the workers' copies did: it stores
-    the first steps they fitted and drops the ones they took.
+    raised again here in job order, as an inline run raises them, and the
+    memo entries they added are stored in the parent's memo.
 
     fork: each worker inherits the table and the imported package, where
     spawn or forkserver would import numpy afresh in every worker and send
@@ -145,14 +135,11 @@ def _pool_map(table, jobs, workers):
                              initializer=_init_worker,
                              initargs=table) as pool:
         try:
-            for value, caught, fresh, taken in pool.map(_worker_cell, jobs):
-                for category, message in caught:
-                    warnings.warn(message, category)
+            for value, caught, added in pool.map(_worker_cell, jobs):
+                replay_warnings(caught)
                 values.append(value)
-                for key in taken:
-                    del memo[key]
-                if fresh:
-                    memo.update(fresh)
+                if added:
+                    memo.update(added)
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise

@@ -33,6 +33,7 @@ from .sparse import SparseKmeansConfig, l0_kmeans
 from .synth import MixtureSpec, generate, with_total_n
 
 WILSON_Z = 1.959964   # the two-sided 95% normal quantile
+MIN_TRIALS = 20       # the fewest trials a sweep runs per n
 
 
 @dataclass
@@ -117,8 +118,8 @@ def sweep(base_spec: MixtureSpec, n_list, trials: int,
     fixed. base_spec.seed names the whole sweep; per-trial seeds derive
     from (sweep seed, setting index, trial index)."""
     trials = check_integer("trials", trials, UsageError)
-    if trials < 20:
-        raise UsageError(f"need at least 20 trials, got {trials}")
+    if trials < MIN_TRIALS:
+        raise UsageError(f"need at least {MIN_TRIALS} trials, got {trials}")
     ns = sorted(check_integer("n", v, UsageError) for v in n_list)
     if inner is None:
         inner = KmeansConfig(k=base_spec.k, restarts=10, refine="swap")

@@ -18,14 +18,13 @@ unconverged after MAX_OUTER_ITERS rounds.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .data import NONZERO_TOL, as_matrix, bcss_per_feature
 from .errors import (AllNonPositiveBcss, DataError, NumericalError,
-                     SparsityOutOfRange)
+                     SparsityOutOfRange, record_warnings, replay_warnings)
 from .kmeans import KmeansConfig, KmeansResult, _fit_result, run_kmeans
 
 METHODS = ("l0", "l1")
@@ -141,28 +140,18 @@ def l1_kmeans(m, cfg: SparseKmeansConfig, path: tuple = ()) -> SparseKmeansResul
 def _shared_first_step(x, w, cfg: KmeansConfig, path: tuple,
                        memo: dict) -> KmeansResult:
     """run_kmeans(x, w, cfg, path) for a first outer step, fitted once per
-    memo key (path, cfg) and handed to the next caller with that key.
-
-    A miss fits, re-emits the warnings the fit raised and stores its
-    labels, counters and those warnings. A hit pops the entry, re-emits
-    the warnings in order and builds the result from x through
-    kmeans._fit_result, as _best_fit does, so it has the bits of a fresh
-    fit. The caller keeps one memo per source matrix (see gap.py)."""
+    memo key (path, cfg): a miss stores the labels, counters and recorded
+    warnings, and the entry stays. Every call raises the warnings again and
+    builds the result from x through kmeans._fit_result, as _best_fit does,
+    so it has the bits of a fresh fit. One memo per matrix (see gap.py)."""
     key = (path, astuple(cfg))
-    if key in memo:
-        *fields, caught = memo.pop(key)
-        for category, message in caught:
-            warnings.warn(message, category)
-        return _fit_result(x, cfg.k, *fields)
-    with warnings.catch_warnings(record=True) as wlist:
-        warnings.simplefilter("always")
-        fit = run_kmeans(x, w, cfg, path=path)
-    caught = [(item.category, str(item.message)) for item in wlist]
-    for category, message in caught:
-        warnings.warn(message, category)
-    memo[key] = (fit.labels, fit.wcss, fit.iters_used, fit.restart_index,
-                 fit.repairs, caught)
-    return fit
+    if key not in memo:
+        fit, caught = record_warnings(run_kmeans, x, w, cfg, path)
+        memo[key] = (fit.labels, fit.wcss, fit.iters_used, fit.restart_index,
+                     fit.repairs, caught)
+    *fields, caught = memo[key]
+    replay_warnings(caught)
+    return _fit_result(x, cfg.k, *fields)
 
 
 def sparse_kmeans(m, cfg: SparseKmeansConfig, path: tuple = (), *,

@@ -200,6 +200,17 @@ def test_cluster_degenerate_l1_is_numerical_error(tmp_path):
     assert code == 3
 
 
+def test_cluster_manifest_records_warnings(tmp_path):
+    out = tmp_path / "d"
+    with pytest.warns(DegenerateData) as raised:
+        assert main(["cluster", "--input", str(two_row_csv(tmp_path)),
+                     "--method", "kmeans", "--k", "3",
+                     "--out", str(out)]) == 0
+    warned = manifest_without_duration(Path(f"{out}.manifest.json"))
+    assert warned["warnings"] == [str(w.message) for w in raised]
+    assert any("distinct rows" in w for w in warned["warnings"])
+
+
 def test_cluster_header_flag(tmp_path):
     path = tmp_path / "h.csv"
     rng = np.random.default_rng(61)
@@ -276,7 +287,7 @@ def test_tune_warnings_same_at_any_worker_count(tmp_path):
 
 
 def test_tune_pool_error_is_numerical_error(tmp_path, monkeypatch, capsys):
-    def fail_one_cell(m, s, method, inner, path):
+    def fail_one_cell(m, s, method, inner, path, memo):
         if path == (gap._NULL, 1, 0):
             raise NumericalError("cell (1, 0) broke down")
         return 2.0
@@ -454,6 +465,44 @@ def test_evaluate_reads_integral_floats_as_integers(tmp_path):
     for suffix in (".metrics.json", ".metrics.csv"):
         assert (tmp_path / f"int{suffix}").read_bytes() == \
             (tmp_path / f"float{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("count", [40, 10])
+def test_evaluate_weight_count_must_match_truth(tmp_path, capsys, count):
+    # an E3a truth has p = 25, of which 20 are noise features
+    _, truth_path = make_signal_csv(tmp_path)
+    labels = json.loads(truth_path.read_text())["labels"]
+    result_path = tmp_path / "res.json"
+    result_path.write_text(json.dumps({
+        "assignments": labels, "weights": [1.0] * 5 + [0.0] * (count - 5)}))
+    assert main(["evaluate", "--result", str(result_path),
+                 "--truth", str(truth_path),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert f"{result_path}: {count} weights, but {truth_path} has " \
+        f"spec.p = 25 features" in capsys.readouterr().err
+    assert not (tmp_path / "x.manifest.json").exists()
+
+
+@pytest.mark.parametrize("spec", [None, {}, {"p": 25.5}, {"p": "25"},
+                                  {"p": True}],
+                         ids=["no-spec", "no-p", "fraction", "text", "bool"])
+def test_evaluate_needs_integer_spec_p(tmp_path, capsys, spec):
+    _, truth_path = make_signal_csv(tmp_path)
+    truth = json.loads(truth_path.read_text())
+    if spec is None:
+        del truth["spec"]
+    else:
+        truth["spec"] = spec
+    truth_path.write_text(json.dumps(truth))
+    result_path = tmp_path / "res.json"
+    result_path.write_text(json.dumps({"assignments": truth["labels"],
+                                       "weights": [1.0] * 25}))
+    assert main(["evaluate", "--result", str(result_path),
+                 "--truth", str(truth_path),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert f"{truth_path}: spec.p is not an integer" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "x.manifest.json").exists()
 
 
 # ----------------------------------------------------------------- sweep
@@ -777,7 +826,7 @@ _COMMAND_ARGV = {
     "sweep": ["--p", "30", "--p-star", "5", "--out", "o"],
 }
 _BOUNDED_FLAGS = [
-    ("generate", "--seed", "-1"),
+    ("generate", "--seed", "-1"), ("generate", "--p", "0"),
     ("cluster", "--seed", "-1"), ("cluster", "--k", "0"),
     ("cluster", "--restarts", "0"),
     ("tune", "--seed", "-1"), ("tune", "--k", "0"),
@@ -787,7 +836,8 @@ _BOUNDED_FLAGS = [
     ("experiment", "--restarts", "0"),
     ("experiment", "--tune-restarts", "0"),
     ("experiment", "--permutations", "1"), ("experiment", "--threads", "0"),
-    ("sweep", "--seed", "-1"),
+    ("sweep", "--seed", "-1"), ("sweep", "--p", "0"),
+    ("sweep", "--p-star", "0"), ("sweep", "--trials", "19"),
 ]
 
 

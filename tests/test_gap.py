@@ -103,7 +103,7 @@ def test_default_grid_frozen_values():
 # ----------------------------------------------- arithmetic via stub fits
 
 def stub_factory(real_fn, null_fn):
-    def stub(m, s, method, inner, path):
+    def stub(m, s, method, inner, path, memo):
         if len(path) == 2:          # (tag, grid index)
             return real_fn(m, s, path[1])
         return null_fn(m, s, path[1], path[2])
@@ -136,7 +136,7 @@ def test_gap_arithmetic_against_formula(monkeypatch):
 def test_gap_tie_prefers_smaller_s(monkeypatch):
     m = np.zeros((6, 3)) + np.arange(6)[:, None]
     monkeypatch.setattr(gap_mod, "_objective",
-                        lambda m, s, method, inner, path: 2.0)
+                        lambda m, s, method, inner, path, memo: 2.0)
     prof = gap_statistic(m, "l0", cfg(), grid=np.array([1.0, 2.0, 3.0]), b=3)
     assert (prof.gap == 0.0).all()
     assert (prof.se == 0.0).all()
@@ -161,7 +161,7 @@ def test_gap_one_se_rule(monkeypatch):
 def test_gap_nonpositive_objective_masked(monkeypatch):
     m = np.zeros((6, 2)) + np.arange(6)[:, None]
 
-    def stub(m, s, method, inner, path):
+    def stub(m, s, method, inner, path, memo):
         return -1.0 if s == 2.0 else 4.0
 
     monkeypatch.setattr(gap_mod, "_objective", stub)
@@ -172,7 +172,7 @@ def test_gap_nonpositive_objective_masked(monkeypatch):
     assert prof.chosen_s == 1.0
 
     monkeypatch.setattr(gap_mod, "_objective",
-                        lambda m, s, method, inner, path: 0.0)
+                        lambda m, s, method, inner, path, memo: 0.0)
     with pytest.warns(NonPositiveObjective):
         with pytest.raises(NumericalError):
             gap_statistic(m, "l0", cfg(k=2), grid=np.array([1.0, 2.0]), b=2)
@@ -204,7 +204,7 @@ def score_loop(objective, null_obj, grid, b, one_se):
 
 def profile_from_table(monkeypatch, objective, null_obj, grid, one_se):
     """gap_statistic's profile when cell (i, t) returns the given table."""
-    def table_objective(m, s, method, inner, path):
+    def table_objective(m, s, method, inner, path, memo):
         if len(path) == 2:          # (tag, grid index)
             return objective[path[1]]
         return null_obj[path[1], path[2]]
@@ -385,11 +385,13 @@ def test_shared_first_steps_warn_as_fresh_fits(threads):
     assert {category for category, _ in alone} == {DegenerateData}
     memo = {}
     assert two_method_warnings(threads, memo) == alone
-    # l1 took the first steps of grid indices 0 and 1 and of the final fit;
-    # its index 2 is left
-    assert [key[0] for key in memo] == [(gap_mod._REAL, 2, 1),
-                                        (gap_mod._NULL, 2, 0, 1),
-                                        (gap_mod._NULL, 2, 1, 1)]
+    # every first step either table or final fit made, each stored once
+    # and kept: l0's grid indices 0 and 1, the final fit, then l1's index 2
+    real, null = gap_mod._REAL, gap_mod._NULL
+    assert [key[0] for key in memo] == [
+        (real, 0, 1), (real, 1, 1), (null, 0, 0, 1), (null, 0, 1, 1),
+        (null, 1, 0, 1), (null, 1, 1, 1), (1,),
+        (real, 2, 1), (null, 2, 0, 1), (null, 2, 1, 1)]
 
 
 def test_pool_sends_first_steps_back():
@@ -435,7 +437,7 @@ def test_pool_workers_capped_at_job_count(monkeypatch):
                         RecordingPool)
     monkeypatch.setattr(gap_mod, "_worker_table", None)
     monkeypatch.setattr(gap_mod, "_objective",
-                        lambda m, s, method, inner, path: 2.0 + s)
+                        lambda m, s, method, inner, path, memo: 2.0 + s)
     prof = gap_statistic(two_row_matrix(), "l0", cfg(), b=2,
                          grid=np.array([2.0, 3.0]), threads=10_000)
     assert RecordingPool.sizes == [6]           # 2 grid points x (b + 1)
@@ -453,7 +455,7 @@ def test_pool_warnings_cross_process():
 
 
 def test_pool_errors_cross_process(monkeypatch):
-    def fail_one_cell(m, s, method, inner, path):
+    def fail_one_cell(m, s, method, inner, path, memo):
         if path == (gap_mod._NULL, 1, 0):
             raise NumericalError("cell (1, 0) broke down")
         return 2.0

@@ -320,7 +320,7 @@ def test_l1_retains_more_features_than_l0():
 @pytest.mark.parametrize("refine", ["none", "swap"])
 def test_shared_first_step_hit_has_the_bits_of_a_fit(refine):
     """A memo hit rebuilds the KmeansResult the miss fitted, centroids
-    included, and empties its entry."""
+    included, and keeps its entry for the next hit."""
     x = np.random.default_rng(35).normal(size=(30, 8))
     x[:10, :2] += 3.0
     active = np.arange(8)
@@ -329,10 +329,11 @@ def test_shared_first_step_hit_has_the_bits_of_a_fit(refine):
     memo = {}
     fitted = sparse._shared_first_step(x, w, cfg, (0, 2, 1), memo)
     assert list(memo) == [((0, 2, 1), (3, 3, 6, refine))]
-    taken = sparse._shared_first_step(x, w, cfg, (0, 2, 1), memo)
-    assert memo == {}
+    hits = [sparse._shared_first_step(x, w, cfg, (0, 2, 1), memo)
+            for _ in range(2)]
+    assert list(memo) == [((0, 2, 1), (3, 3, 6, refine))]
     fresh = run_kmeans(x, w, cfg, path=(0, 2, 1))
-    for result in (fitted, taken):
+    for result in (fitted, *hits):
         assert result.labels.tobytes() == fresh.labels.tobytes()
         assert result.centroids.tobytes() == fresh.centroids.tobytes()
         assert (result.wcss, result.iters_used, result.restart_index,
