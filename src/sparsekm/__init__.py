@@ -10,9 +10,8 @@ from .kmeans import KmeansConfig, KmeansResult, kmeans_pp_init, \
     lloyd_weighted, run_kmeans
 from .lab import SweepReport, TrialOutcome, run_trial, sweep, wilson_interval
 from .metrics import FeatureCounts, cer, ecr, feature_counts
-from .sparse import (SparseKmeansConfig, SparseKmeansResult, l0_kmeans,
-                     l0_weight_update, l1_kmeans, l1_weight_update,
-                     sparse_kmeans)
+from .sparse import (SparseKmeansConfig, SparseKmeansResult,
+                     l0_weight_update, l1_weight_update, sparse_kmeans)
 from .synth import GroundTruth, MixtureSpec, experiment_spec, generate, \
     with_total_n
 
@@ -24,8 +23,8 @@ __all__ = [
     "run_kmeans",
     "SweepReport", "TrialOutcome", "run_trial", "sweep", "wilson_interval",
     "FeatureCounts", "cer", "ecr", "feature_counts",
-    "SparseKmeansConfig", "SparseKmeansResult", "l0_kmeans",
-    "l0_weight_update", "l1_kmeans", "l1_weight_update", "sparse_kmeans",
+    "SparseKmeansConfig", "SparseKmeansResult", "l0_weight_update",
+    "l1_weight_update", "sparse_kmeans",
     "GroundTruth", "MixtureSpec", "experiment_spec", "generate",
     "with_total_n",
 ]

@@ -30,13 +30,20 @@ def _as_2d(values, name: str = "data") -> np.ndarray:
     return m
 
 
+def _finite(values: np.ndarray, message: str) -> np.ndarray:
+    """values, or NonFiniteInput(message) if an entry is NaN or infinite."""
+    if not np.isfinite(values).all():
+        raise NonFiniteInput(message)
+    return values
+
+
 def _as_weights(w, p: int) -> np.ndarray:
-    """Validate and return one float weight per column of a p-column
-    matrix."""
+    """Validate and return one finite float weight per column of a
+    p-column matrix."""
     w = np.asarray(w, dtype=float)
     if w.shape != (p,):
         raise DataError(f"weights must have shape ({p},), got {w.shape}")
-    return w
+    return _finite(w, "weights contain NaN or infinity")
 
 
 def as_matrix(values, *, name: str = "data") -> np.ndarray:
@@ -45,13 +52,25 @@ def as_matrix(values, *, name: str = "data") -> np.ndarray:
     n, p = m.shape
     if n < 2 or p < 1:
         raise DataError(f"{name} needs n >= 2 and p >= 1, got {n} x {p}")
-    if not np.all(np.isfinite(m)):
-        raise NonFiniteInput(f"{name} contains NaN or infinity")
-    return m
+    return _finite(m, f"{name} contains NaN or infinity")
+
+
+def as_indices(values, what: str) -> np.ndarray:
+    """values as an int array when every entry is an integer or a float of
+    integral value (such as 2.0); else DataError, as a cast alone would
+    truncate 0.7 to 0 and read True as 1. An integer array pays only the
+    dtype test."""
+    given = np.asarray(values)
+    if given.dtype.kind in "iu":
+        return given.astype(int, copy=False)
+    if given.dtype.kind != "f" or not np.isfinite(given).all() \
+            or (given % 1 != 0).any():
+        raise DataError(f"{what} must be integers")
+    return given.astype(int)
 
 
 def check_labels(labels, k: int, n: int) -> np.ndarray:
-    lab = np.asarray(labels, dtype=int)
+    lab = as_indices(labels, "labels")
     if lab.shape != (n,):
         raise LengthMismatch(f"expected {n} labels, got shape {lab.shape}")
     if n == 0:
@@ -123,12 +142,14 @@ def bcss_per_feature(m, labels, k: int) -> np.ndarray:
     a_j = (1/n) sum_{i,i'} d_{ii'j} - sum_k (1/n_k) sum_{i,i' in C_k} d_{ii'j}
     with d_{ii'j} = (x_ij - x_i'j)^2 over ordered pairs, computed in O(np)
     as 2 sum_k n_k (mean_kj - mean_j)^2, twice the classical between-group
-    SS. Tiny negatives from round-off are clamped to 0.
+    SS. Every term is a count times a square, so no entry is negative.
+    The data are not scanned for NaN or infinity; a non-finite result
+    raises instead.
     """
     m, counts, centroids = _centroids(m, labels, k)
     a = 2.0 * (counts @ (centroids - m.mean(axis=0)) ** 2)
-    a[(a < 0.0) & (a > -1e-9)] = 0.0
-    return a
+    return _finite(a, "between-cluster dispersion is not finite: the data "
+                      "hold NaN or infinity, or their squares overflow")
 
 
 def weighted_wcss(m, labels, w, k: int) -> float:
@@ -137,7 +158,7 @@ def weighted_wcss(m, labels, w, k: int) -> float:
     sum_k (1/n_k) sum_{i,i' in C_k} sum_j w_j (x_ij - x_i'j)^2
     = 2 sum_j w_j (classical within-group SS of feature j).
     """
-    m = _as_2d(m)
+    m = _finite(_as_2d(m), "data contains NaN or infinity")
     w = _as_weights(w, m.shape[1])
     m, counts, centroids = _centroids(m, labels, k)
     return float(2.0 * (w @ ((m**2).sum(axis=0) - counts @ centroids**2)))
@@ -145,7 +166,7 @@ def weighted_wcss(m, labels, w, k: int) -> float:
 
 def total_ss(m, w) -> float:
     """Weighted total dispersion (1/n) sum_{i,i'} sum_j w_j d_{ii'j}."""
-    m = _as_2d(m)
+    m = _finite(_as_2d(m), "data contains NaN or infinity")
     w = _as_weights(w, m.shape[1])
     centered = m - m.mean(axis=0)
     return float(2.0 * (w @ (centered**2).sum(axis=0)))

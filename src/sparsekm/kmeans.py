@@ -108,8 +108,6 @@ class KmeansResult:
 
 def _check_weights(w, p: int) -> np.ndarray:
     w = _as_weights(w, p)
-    if not np.isfinite(w).all():
-        raise NonFiniteInput("weights contain NaN or infinity")
     if (w < 0).any():
         raise DataError("weights must be nonnegative")
     if not (w > 0).any():

@@ -29,11 +29,17 @@ from .data import write_csv_rows
 from .errors import InvalidSpec, NumericalError, UsageError, check_integer
 from .kmeans import KmeansConfig
 from .metrics import ecr
-from .sparse import SparseKmeansConfig, l0_kmeans
+from .sparse import SparseKmeansConfig, sparse_kmeans
 from .synth import MixtureSpec, generate, with_total_n
 
 WILSON_Z = 1.959964   # the two-sided 95% normal quantile
 MIN_TRIALS = 20       # the fewest trials a sweep runs per n
+TRIAL_ENGINE = {"restarts": 10, "refine": "swap"}   # a sweep trial's k-means
+
+# run_trial fits through this module-global name, not sparse_kmeans, so that
+# a benchmark can wrap the trial fits alone (perfbench traces and records
+# lab.l0_kmeans, and tests/test_perfbench_seams.py pins it).
+l0_kmeans = sparse_kmeans
 
 
 @dataclass
@@ -87,19 +93,20 @@ def wilson_interval(hits: int, trials: int) -> tuple:
     return max(0.0, float(center - half)), min(1.0, float(center + half))
 
 
-def run_trial(spec: MixtureSpec, cfg: SparseKmeansConfig) -> TrialOutcome:
-    """One seeded draw-and-fit. Requires rho=0, method l0, s = p_star."""
+def run_trial(spec: MixtureSpec, inner: KmeansConfig) -> TrialOutcome:
+    """One seeded draw and its l0 fit at s = p_star, with inner as the
+    k-means of each outer step. Requires rho = 0 and inner.k = spec.k."""
     spec.validated()
     if spec.rho != 0.0:
         raise InvalidSpec("trials assume independent features (rho = 0)")
     if not 1 <= spec.p_star < spec.p:
         raise InvalidSpec("trials need 1 <= p_star < p")
-    if cfg.method != "l0":
-        raise InvalidSpec("trials use the l0 method")
-    if int(np.floor(cfg.s)) != spec.p_star:
-        raise InvalidSpec(f"cfg.s must equal p_star={spec.p_star}")
+    if inner.k != spec.k:
+        raise InvalidSpec(f"inner.k={inner.k} must equal the spec's "
+                          f"k={spec.k}")
     x, truth = generate(spec)
-    result = l0_kmeans(x, cfg)
+    result = l0_kmeans(x, SparseKmeansConfig(s=float(spec.p_star),
+                                             method="l0", inner=inner))
     a = result.bcss
     gap_event = bool(a[: spec.p_star].min() > a[spec.p_star:].max())
     w = result.weights
@@ -112,17 +119,15 @@ def run_trial(spec: MixtureSpec, cfg: SparseKmeansConfig) -> TrialOutcome:
                         seed=spec.seed)
 
 
-def sweep(base_spec: MixtureSpec, n_list, trials: int,
-          inner: KmeansConfig | None = None) -> SweepReport:
+def sweep(base_spec: MixtureSpec, n_list, trials: int) -> SweepReport:
     """Trial frequencies for each n in n_list (ascending), p and p_star
-    fixed. base_spec.seed names the whole sweep; per-trial seeds derive
-    from (sweep seed, setting index, trial index)."""
+    fixed, each trial fitted by TRIAL_ENGINE. base_spec.seed names the
+    whole sweep; per-trial seeds derive from (sweep seed, setting index,
+    trial index) and seed both the draw and its k-means."""
     trials = check_integer("trials", trials, UsageError)
     if trials < MIN_TRIALS:
         raise UsageError(f"need at least {MIN_TRIALS} trials, got {trials}")
     ns = sorted(check_integer("n", v, UsageError) for v in n_list)
-    if inner is None:
-        inner = KmeansConfig(k=base_spec.k, restarts=10, refine="swap")
     rows = []
     for si, n in enumerate(ns):
         scaled = with_total_n(base_spec, n)
@@ -131,9 +136,8 @@ def sweep(base_spec: MixtureSpec, n_list, trials: int,
         for ti in range(trials):
             trial_seed = spawn_seed(base_spec.seed, si, ti)
             spec = replace(scaled, seed=trial_seed)
-            out = run_trial(spec, SparseKmeansConfig(
-                s=float(spec.p_star), method="l0",
-                inner=replace(inner, seed=trial_seed)))
+            out = run_trial(spec, KmeansConfig(k=base_spec.k, seed=trial_seed,
+                                               **TRIAL_ENGINE))
             hits_gap += out.gap_event
             hits_support += out.exact_support
             ecr_sum += out.ecr

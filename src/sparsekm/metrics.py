@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import NONZERO_TOL
+from .data import NONZERO_TOL, as_indices
 from .errors import DataError, IndexOutOfRange, LengthMismatch, NonFiniteInput
 
 
@@ -80,11 +80,7 @@ def feature_counts(w, support) -> FeatureCounts:
     if not np.isfinite(w).all():
         raise NonFiniteInput("weights contain NaN or infinity")
     p = w.shape[0]
-    given = np.asarray(support)
-    if given.dtype.kind not in "iuf" or not np.isfinite(given).all() \
-            or (given % 1 != 0).any():
-        raise DataError("support indices must be integers")
-    support = given.astype(int)
+    support = as_indices(support, "support indices")
     if support.ndim != 1 or np.unique(support).size != support.size:
         raise DataError("support must be a flat list of distinct indices")
     if support.size and (support.min() < 0 or support.max() >= p):

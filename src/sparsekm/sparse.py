@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .data import NONZERO_TOL, as_matrix, bcss_per_feature
+from .data import NONZERO_TOL, _finite, as_matrix, bcss_per_feature
 from .errors import (AllNonPositiveBcss, DataError, NumericalError,
                      SparsityOutOfRange, record_warnings, replay_warnings)
 from .kmeans import KmeansConfig, KmeansResult, _fit_result, run_kmeans
@@ -70,17 +70,21 @@ class SparseKmeansResult:
     inner: KmeansResult
 
 
+def _as_dispersion(a) -> np.ndarray:
+    """a as a float vector, refused when an entry is NaN or infinite (a NaN
+    compares false both ways, so either update would pass it through)."""
+    return _finite(np.asarray(a, dtype=float),
+                   "dispersion vector a contains NaN or infinity")
+
+
 def l0_weight_update(a, s: float) -> np.ndarray:
     """Indicator of the floor(s) largest entries of a, ties to the smaller
     index. Maximizes w.a over the l0 feasible set in O(p) expected time."""
-    a = np.asarray(a, dtype=float)
+    a = _as_dispersion(a)
     p = a.shape[0]
     _check_s("l0", s, p)
     s_int = int(np.floor(s))
     w = np.zeros(p)
-    if s_int == p:
-        w[:] = 1.0
-        return w
     part = np.argpartition(-a, s_int - 1)[:s_int]
     cut = a[part].min()
     sure = np.flatnonzero(a > cut)
@@ -94,7 +98,7 @@ def l1_weight_update(a, s: float) -> np.ndarray:
     """Normalized soft threshold w = S(a, delta) / ||S(a, delta)||_2 with
     delta = 0 when the l1 constraint is slack, else found by bisection so
     ||w||_1 lands within 1e-8 of s."""
-    a = np.asarray(a, dtype=float)
+    a = _as_dispersion(a)
     _check_s("l1", s, a.shape[0])
     amax = float(a.max(initial=-np.inf))
     if amax <= 0.0:
@@ -123,18 +127,6 @@ def l1_weight_update(a, s: float) -> np.ndarray:
     if abs(w.sum() - s) > 1e-8:
         raise NumericalError(f"bisection failed to match ||w||_1 = {s}")
     return w
-
-
-def l0_kmeans(m, cfg: SparseKmeansConfig, path: tuple = ()) -> SparseKmeansResult:
-    if cfg.method != "l0":
-        raise DataError(f"l0_kmeans called with method={cfg.method!r}")
-    return sparse_kmeans(m, cfg, path)
-
-
-def l1_kmeans(m, cfg: SparseKmeansConfig, path: tuple = ()) -> SparseKmeansResult:
-    if cfg.method != "l1":
-        raise DataError(f"l1_kmeans called with method={cfg.method!r}")
-    return sparse_kmeans(m, cfg, path)
 
 
 def _shared_first_step(x, w, cfg: KmeansConfig, path: tuple,

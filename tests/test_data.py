@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsekm._rng import rng_for
 from sparsekm.data import (_as_2d, _as_weights, _centroids, as_matrix,
@@ -411,3 +412,70 @@ def test_ss_helpers_need_one_weight_per_column(fn, args):
 def test_ss_helpers_reject_zero_rows(fn, args):
     with pytest.raises(DataError, match="0 rows"):
         fn(np.empty((0, 3)), *args)
+
+
+@pytest.mark.parametrize("labels", [[0.7, 1, 1], [1, 0.5, 0], [np.nan, 1, 0],
+                                    [True, False, True], ["0", "1", "1"]],
+                         ids=["0.7", "0.5", "nan", "bool", "str"])
+@pytest.mark.parametrize("fn, args", [
+    (bcss_per_feature, (2,)),
+    (weighted_wcss, (np.ones(2), 2)),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_ss_helpers_refuse_non_integral_labels(fn, args, labels):
+    # a cast alone scores [0.7, 1, 1] as [0, 1, 1] and True as 1
+    with pytest.raises(DataError, match="labels must be integers"):
+        fn(np.eye(3, 2), labels, *args)
+
+
+def test_ss_helpers_take_integral_float_labels():
+    x = rng_for(16).standard_normal((5, 3))
+    ints, floats = [0, 1, 1, 0, 1], [0.0, 1.0, 1.0, 0.0, 1.0]
+    assert np.array_equal(bcss_per_feature(x, floats, 2),
+                          bcss_per_feature(x, ints, 2))
+    assert weighted_wcss(x, floats, np.ones(3), 2) == \
+        weighted_wcss(x, ints, np.ones(3), 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("fn", [
+    lambda x, w: weighted_wcss(x, [0, 1, 0], w, 2),
+    total_ss,
+], ids=["weighted_wcss", "total_ss"])
+def test_ss_helpers_refuse_non_finite_data_and_weights(fn, bad):
+    x, w = np.arange(6.0).reshape(3, 2), np.ones(2)
+    x_bad, w_bad = x.copy(), w.copy()
+    x_bad[1, 0] = w_bad[1] = bad
+    with pytest.raises(NonFiniteInput, match="data contains NaN or infinity"):
+        fn(x_bad, w)
+    with pytest.raises(NonFiniteInput, match="weights contain NaN or infinity"):
+        fn(x, w_bad)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bcss_refuses_a_non_finite_result(bad):
+    x = np.arange(6.0).reshape(3, 2)
+    x[1, 0] = bad
+    with pytest.raises(NonFiniteInput, match="dispersion is not finite"):
+        bcss_per_feature(x, [0, 1, 0], 2)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(n=st.integers(2, 30), p=st.integers(1, 5), k=st.integers(1, 5),
+       grid=st.booleans(), decade=st.integers(-12, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_bcss_is_never_negative(n, p, k, grid, decade, seed):
+    """Every term of 2 sum_k n_k (mean_kj - mean_j)^2 is a count times a
+    square, so the round-off clamp the reference keeps never fires: the
+    bits match it, at scales from 1e-12 to 1e12, far from the origin
+    and with exact ties."""
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    values = rng.integers(-2, 3, size=(n, p)) if grid \
+        else rng.standard_normal((n, p)) + rng.normal(size=p) * 1e3
+    x = np.asarray(values, dtype=float) * 10.0 ** decade
+    labels = random_partition(rng, n, k)
+    a = bcss_per_feature(x, labels, k)
+    assert (a >= 0.0).all()
+    assert np.array_equal(a.view(np.int64),
+                          bcss_reference(x, labels, k).view(np.int64))

@@ -10,7 +10,6 @@ from sparsekm.gap import permute_columns
 from sparsekm.kmeans import KmeansConfig, run_kmeans
 from sparsekm.lab import (SweepReport, SweepRow, nondecreasing_within_slack,
                           run_trial, sweep, wilson_interval)
-from sparsekm.sparse import SparseKmeansConfig
 from sparsekm.synth import MixtureSpec, experiment_spec, generate
 
 
@@ -21,9 +20,7 @@ def lab_spec(seed, mu=10.0, n_per=20, p=100, p_star=10, rho=0.0):
 
 
 def lab_cfg(spec, seed, restarts=3):
-    return SparseKmeansConfig(s=float(spec.p_star), method="l0",
-                              inner=KmeansConfig(k=spec.k, restarts=restarts,
-                                                 seed=seed))
+    return KmeansConfig(k=spec.k, restarts=restarts, seed=seed)
 
 
 # --------------------------------------------------------------- trials
@@ -85,22 +82,24 @@ def test_run_trial_preconditions():
         run_trial(lab_spec(0, rho=0.3), lab_cfg(spec, 0))
     with pytest.raises(InvalidSpec):
         bad = lab_spec(0, p_star=100)           # p_star == p
-        run_trial(bad, SparseKmeansConfig(s=100.0, method="l0",
-                                          inner=KmeansConfig(k=3, seed=0)))
-    with pytest.raises(InvalidSpec):
-        run_trial(spec, SparseKmeansConfig(s=3.0, method="l1",
-                                           inner=KmeansConfig(k=3, seed=0)))
-    with pytest.raises(InvalidSpec):
-        run_trial(spec, SparseKmeansConfig(s=9.0, method="l0",
-                                           inner=KmeansConfig(k=3, seed=0)))
+        run_trial(bad, KmeansConfig(k=3, seed=0))
+
+
+def test_run_trial_refuses_a_k_other_than_the_spec_k(monkeypatch):
+    # a 2-means fit of the 3-cluster E3a draw would score ecr = 0.33
+    def no_draw(spec):
+        raise AssertionError("a trial drew data")
+
+    monkeypatch.setattr(lab, "generate", no_draw)
+    with pytest.raises(InvalidSpec, match="inner.k=2 must equal the spec's "
+                                          "k=3"):
+        run_trial(experiment_spec("E3a"), KmeansConfig(k=2, seed=0))
 
 
 # ---------------------------------------------------------------- sweep
 
 def small_sweep(trials=20):
-    base = lab_spec(77, mu=1.5, p=30, p_star=5)
-    inner = KmeansConfig(k=3, restarts=2, seed=0)
-    return sweep(base, [12, 24], trials, inner=inner)
+    return sweep(lab_spec(77, mu=1.5, p=30, p_star=5), [12, 24], trials)
 
 
 def test_sweep_deterministic_and_ordered():
@@ -129,7 +128,7 @@ def test_sweep_rejects_few_trials():
 ], ids=["trials", "n", "second-n"])
 def test_sweep_rejects_non_integers_before_any_trial(monkeypatch, n_list,
                                                      trials, message):
-    def no_trial(spec, cfg):
+    def no_trial(spec, inner):
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(lab, "run_trial", no_trial)
@@ -154,7 +153,7 @@ def test_sweep_report_files(tmp_path):
 
 
 def test_sweep_report_takes_numpy_integer_spec(tmp_path, monkeypatch):
-    monkeypatch.setattr(lab, "run_trial", lambda spec, cfg: lab.TrialOutcome(
+    monkeypatch.setattr(lab, "run_trial", lambda spec, inner: lab.TrialOutcome(
         ecr=0.0, gap_event=True, exact_support=True, seed=spec.seed))
     report = sweep(lab_spec(1, p=np.int64(20), p_star=np.int32(4)), [30], 20)
     assert [(type(r.p), type(r.p_star)) for r in report.rows] == [(int, int)]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sparsekm import cli, kmeans, sparse
+from sparsekm import cli, kmeans, lab, sparse, synth
 from sparsekm.kmeans import KmeansConfig
 from sparsekm.sparse import SparseKmeansConfig
 
@@ -77,3 +77,23 @@ def test_experiment_cell_calls_recorded_names_once_per_method(monkeypatch):
                             tune_restarts=1, b=2, threads=1)
     assert seen == [("gap_statistic", "l0"), ("sparse_kmeans", "l0"),
                     ("gap_statistic", "l1"), ("sparse_kmeans", "l1")]
+
+
+def test_sweep_fits_every_trial_through_lab_l0_kmeans(monkeypatch):
+    """The benchmark's sweep_e2 records its trial fits by wrapping
+    lab.l0_kmeans, so one sweep reaches that module-global name once per
+    trial, and a trial that fitted by another name would go unseen."""
+    fits = []
+
+    def recorded(*args, _fn=lab.l0_kmeans, **kwargs):
+        fits.append(args[1])
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(lab, "l0_kmeans", recorded)
+    base = synth.MixtureSpec(k=3, sizes=(4, 4, 4), p=12, p_star=3,
+                             means=np.array([[2.0] * 3, [-2.0] * 3, [0.0] * 3]),
+                             seed=5)
+    trials, n_list = lab.MIN_TRIALS, [9, 15]
+    lab.sweep(base, n_list, trials)
+    assert len(fits) == trials * len(n_list)
+    assert {(cfg.method, cfg.s) for cfg in fits} == {("l0", base.p_star)}

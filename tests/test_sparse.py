@@ -3,14 +3,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsekm import sparse
 from sparsekm.data import bcss_per_feature, standardize
 from sparsekm.errors import (AllNonPositiveBcss, DataError, DegenerateData,
-                             NumericalError, SparsityOutOfRange)
+                             NonFiniteInput, NumericalError,
+                             SparsityOutOfRange)
 from sparsekm.kmeans import KmeansConfig, run_kmeans
-from sparsekm.sparse import (SparseKmeansConfig, l0_kmeans, l0_weight_update,
-                             l1_kmeans, l1_weight_update, sparse_kmeans)
+from sparsekm.sparse import (SparseKmeansConfig, l0_weight_update,
+                             l1_weight_update, sparse_kmeans)
 from sparsekm.synth import MixtureSpec, generate
 
 
@@ -104,6 +106,25 @@ def test_l0_update_range_errors():
             l0_weight_update(a, s)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_l0_update_refuses_non_finite_a(bad):
+    # a NaN compares false both ways, so argpartition once dropped it
+    with pytest.raises(NonFiniteInput, match="NaN or infinity"):
+        l0_weight_update([bad, 1.0, 2.0], 2)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(p=st.integers(1, 12), grid=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_l0_update_at_s_equal_p_keeps_every_feature(p, grid, seed):
+    """s = p needs no shortcut: the top-p cut keeps every entry, ties and
+    negatives included."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-2, 3, size=p).astype(float) if grid \
+        else rng.normal(size=p) * 10.0 ** rng.uniform(-12, 12)
+    assert l0_weight_update(a, p).tolist() == [1.0] * p
+
+
 # -------------------------------------------------------------- l1 update
 
 def test_l1_update_single_positive():
@@ -152,6 +173,13 @@ def test_l1_update_errors():
         l1_weight_update(np.ones(4), 2.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_l1_update_refuses_non_finite_a(bad):
+    # a NaN slips past the ||w||_1 check, as abs(nan - s) > 1e-8 is False
+    with pytest.raises(NonFiniteInput, match="NaN or infinity"):
+        l1_weight_update([bad, 1.0, 2.0], 1.2)
+
+
 # ------------------------------------------------------------ outer loops
 
 def test_l0_recovers_known_support():
@@ -160,7 +188,7 @@ def test_l0_recovers_known_support():
         x, truth = generate(signal_spec(seed))
         xs = standardize(x)
         cfg = SparseKmeansConfig(s=5, method="l0", inner=inner_cfg(seed))
-        res = l0_kmeans(xs, cfg)
+        res = sparse_kmeans(xs, cfg)
         hits += np.array_equal(res.selected_features, truth.support)
     assert hits >= 18
 
@@ -169,7 +197,7 @@ def test_l0_s_equals_p_is_plain_kmeans():
     x, _ = generate(signal_spec(3))
     xs = standardize(x)
     cfg = SparseKmeansConfig(s=xs.shape[1], method="l0", inner=inner_cfg(3))
-    res = l0_kmeans(xs, cfg)
+    res = sparse_kmeans(xs, cfg)
     assert (res.weights == 1.0).all()
     assert res.converged
     assert res.outer_iters == 2
@@ -180,13 +208,13 @@ def test_l0_s_equals_p_is_plain_kmeans():
 def test_outer_loop_converges_and_reports(monkeypatch):
     x, _ = generate(signal_spec(4))
     xs = standardize(x)
-    res = l0_kmeans(xs, SparseKmeansConfig(s=5, method="l0",
-                                           inner=inner_cfg(4)))
+    res = sparse_kmeans(xs, SparseKmeansConfig(s=5, method="l0",
+                                               inner=inner_cfg(4)))
     assert res.converged
     assert 1 <= res.outer_iters <= 20
     monkeypatch.setattr(sparse, "MAX_OUTER_ITERS", 1)
-    capped = l0_kmeans(xs, SparseKmeansConfig(s=5, method="l0",
-                                              inner=inner_cfg(4)))
+    capped = sparse_kmeans(xs, SparseKmeansConfig(s=5, method="l0",
+                                                  inner=inner_cfg(4)))
     assert not capped.converged
     assert capped.outer_iters == 1
 
@@ -221,9 +249,9 @@ def test_l0_weights_feasible_every_run():
     rng = np.random.default_rng(26)
     for trial in range(5):
         x = rng.normal(size=(30, 10))
-        res = l0_kmeans(standardize(x),
-                        SparseKmeansConfig(s=3.9, method="l0",
-                                           inner=inner_cfg(trial)))
+        res = sparse_kmeans(standardize(x),
+                            SparseKmeansConfig(s=3.9, method="l0",
+                                               inner=inner_cfg(trial)))
         assert set(np.unique(res.weights)) <= {0.0, 1.0}
         assert res.weights.sum() == 3
 
@@ -232,9 +260,9 @@ def test_l1_weights_feasible_every_run():
     rng = np.random.default_rng(27)
     for trial in range(5):
         x = rng.normal(size=(30, 16))
-        res = l1_kmeans(standardize(x),
-                        SparseKmeansConfig(s=2.5, method="l1",
-                                           inner=inner_cfg(trial)))
+        res = sparse_kmeans(standardize(x),
+                            SparseKmeansConfig(s=2.5, method="l1",
+                                               inner=inner_cfg(trial)))
         assert (res.weights >= 0).all()
         assert np.linalg.norm(res.weights) == pytest.approx(1.0, abs=1e-9)
         assert res.weights.sum() <= 2.5 + 1e-6
@@ -243,8 +271,8 @@ def test_l1_weights_feasible_every_run():
 def test_l1_s_sqrt_p_unconstrained():
     x, _ = generate(signal_spec(8, mu=1.0, p=16, p_star=4))
     xs = standardize(x)
-    res = l1_kmeans(xs, SparseKmeansConfig(s=4.0, method="l1",
-                                           inner=inner_cfg(8)))
+    res = sparse_kmeans(xs, SparseKmeansConfig(s=4.0, method="l1",
+                                               inner=inner_cfg(8)))
     # with s = sqrt(p) the l1 bound can never bind, so delta stays 0 and
     # every feature with positive dispersion keeps weight
     a = bcss_per_feature(xs, res.labels, 3)
@@ -255,12 +283,6 @@ def test_l1_s_sqrt_p_unconstrained():
 
 def test_method_config_mismatch():
     x = np.random.default_rng(28).normal(size=(20, 6))
-    cfg = SparseKmeansConfig(s=2, method="l0", inner=inner_cfg())
-    with pytest.raises(DataError):
-        l1_kmeans(x, cfg)
-    cfg1 = SparseKmeansConfig(s=2.0, method="l1", inner=inner_cfg())
-    with pytest.raises(DataError):
-        l0_kmeans(x, cfg1)
     with pytest.raises(DataError):
         sparse_kmeans(x, SparseKmeansConfig(s=2, method="lasso",
                                             inner=inner_cfg()))
@@ -283,8 +305,8 @@ def test_constant_matrix_raises():
     x = np.ones((10, 4))
     with pytest.warns(DegenerateData):
         with pytest.raises((AllNonPositiveBcss, NumericalError)):
-            l1_kmeans(x, SparseKmeansConfig(s=1.5, method="l1",
-                                            inner=KmeansConfig(k=2, seed=0)))
+            sparse_kmeans(x, SparseKmeansConfig(
+                s=1.5, method="l1", inner=KmeansConfig(k=2, seed=0)))
 
 
 def test_l1_retains_more_features_than_l0():
